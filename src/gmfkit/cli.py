@@ -7,7 +7,7 @@ object carrying ``error_kind`` on stdout).
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
 
 from . import jsonio
@@ -25,22 +25,11 @@ from .gmfcore import (
     galois_norm,
     k_operator,
     verify_decomposition,
+    working_precision,
 )
 from .numberfield import RATIONAL, FieldTag
 from .qseries import exp_from_logderiv
 from .subgroup import GroupDescriptor, coset_reps, cusp_count, invariants
-
-
-def _load_json(path):
-    try:
-        if path == "-":
-            return json.load(sys.stdin)
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise MalformedInputError(f"{path}: not valid JSON ({exc})") from None
-    except OSError as exc:
-        raise MalformedInputError(f"{path}: {exc.strerror or exc}") from None
 
 
 def _parse_field(text):
@@ -56,7 +45,7 @@ def _parse_field(text):
 
 
 def _load_series(path, field_text=None):
-    series = jsonio.series_from_obj(_load_json(path))
+    series = jsonio.series_from_obj(jsonio.load_json_file(path))
     if field_text is None:
         return series
     target = _parse_field(field_text)
@@ -65,12 +54,12 @@ def _load_series(path, field_text=None):
     return series.promote(target)
 
 
-def _group(text):
-    return GroupDescriptor.parse(text)
-
-
-def _basis_for(group, precision, path):
-    return load_basis(group, precision, path)
+def _load_f_and_basis(path, group_text, prec, basis_path):
+    """The series in ``path`` on its group, and the basis sized for
+    decomposing it to ``prec``."""
+    group = GroupDescriptor.parse(group_text)
+    f = PGMF(_load_series(path), group)
+    return f, load_basis(group, working_precision(f, prec), basis_path)
 
 
 # ----------------------------------------------------------------------
@@ -78,7 +67,7 @@ def _basis_for(group, precision, path):
 
 
 def cmd_kappa(args):
-    inv = invariants(_group(args.group))
+    inv = invariants(GroupDescriptor.parse(args.group))
     return {
         "group": args.group,
         "p_index": inv.p_index,
@@ -89,7 +78,7 @@ def cmd_kappa(args):
 
 
 def cmd_cosets(args):
-    reps = coset_reps(_group(args.group))
+    reps = coset_reps(GroupDescriptor.parse(args.group))
     return {
         "group": args.group,
         "count": len(reps),
@@ -98,7 +87,7 @@ def cmd_cosets(args):
 
 
 def cmd_cusps(args):
-    return {"group": args.group, "cusps": cusp_count(_group(args.group))}
+    return {"group": args.group, "cusps": cusp_count(GroupDescriptor.parse(args.group))}
 
 
 def cmd_eta_expand(args):
@@ -140,66 +129,49 @@ def cmd_rescale(args):
 
 
 def cmd_decompose(args):
-    group = _group(args.group)
-    series = _load_series(args.f)
-    f = PGMF(series, group)
-    prefix = jsonio.prefix_from_obj(_load_json(args.prefix), series.field)
-    working = args.prec - min(series.lead, 0)
-    basis = _basis_for(group, working, args.basis)
+    f, basis = _load_f_and_basis(args.f, args.group, args.prec, args.basis)
+    prefix = jsonio.prefix_from_obj(jsonio.load_json_file(args.prefix), f.expansion.field)
     dec = decompose_with_prefix(f, prefix, basis, args.prec)
     checks = verify_decomposition(f, dec, basis)
     return decomposition_to_obj(dec, checks=checks)
 
 
 def _certify_one(path, group_text, prec, basis_path, prefix_path):
-    group = GroupDescriptor.parse(group_text)
-    series = jsonio.series_from_obj(_load_json(path))
-    f = PGMF(series, group)
-    working = prec - min(series.lead, 0)
-    basis = load_basis(group, working, basis_path)
+    f, basis = _load_f_and_basis(path, group_text, prec, basis_path)
     prefix = None
     if prefix_path is not None:
-        prefix = jsonio.prefix_from_obj(_load_json(prefix_path), series.field)
+        prefix = jsonio.prefix_from_obj(jsonio.load_json_file(prefix_path), f.expansion.field)
     cert = finite_order_certificate(f, basis, prec, prefix=prefix)
     return certificate_to_obj(cert)
 
 
 def cmd_certify(args):
+    certify = functools.partial(
+        _certify_one, group_text=args.group, prec=args.prec,
+        basis_path=args.basis, prefix_path=args.prefix,
+    )
     if len(args.f) == 1:
-        return _certify_one(args.f[0], args.group, args.prec, args.basis, args.prefix)
-    jobs = max(args.jobs, 1)
-    results = []
+        return certify(args.f[0])
+    # workers beyond the file count would only sit idle
+    jobs = min(max(args.jobs, 1), len(args.f))
     if jobs == 1:
-        for path in args.f:
-            results.append(
-                {
-                    "input": path,
-                    "certificate": _certify_one(
-                        path, args.group, args.prec, args.basis, args.prefix
-                    ),
-                }
-            )
+        certificates = [certify(path) for path in args.f]
     else:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_certify_one, path, args.group, args.prec, args.basis, args.prefix)
-                for path in args.f
-            ]
-            for path, fut in zip(args.f, futures):
-                results.append({"input": path, "certificate": fut.result()})
-    return results
+            certificates = list(pool.map(certify, args.f))
+    return [{"input": path, "certificate": c} for path, c in zip(args.f, certificates)]
 
 
 def cmd_verify(args):
-    group = _group(args.group)
+    group = GroupDescriptor.parse(args.group)
     f = PGMF(_load_series(args.f), group)
-    dec = decomposition_from_obj(_load_json(args.dec), group)
+    dec = decomposition_from_obj(jsonio.load_json_file(args.dec), group)
     basis = None
     precision = max(dec.g0.precision, 2)
     if args.basis is not None or args.with_basis:
-        basis = _basis_for(group, precision, args.basis)
+        basis = load_basis(group, precision, args.basis)
     else:
         try:
             basis = load_basis(group, precision)
@@ -210,19 +182,19 @@ def cmd_verify(args):
 
 
 def cmd_galois_norm(args):
-    group = _group(args.group)
+    group = GroupDescriptor.parse(args.group)
     f = PGMF(_load_series(args.f), group)
     return jsonio.series_to_obj(galois_norm(f).expansion)
 
 
 def cmd_k_op(args):
-    group = _group(args.group)
+    group = GroupDescriptor.parse(args.group)
     f = PGMF(_load_series(args.f), group)
     return jsonio.series_to_obj(k_operator(f).expansion)
 
 
 def cmd_denom_primes(args):
-    group = _group(args.group)
+    group = GroupDescriptor.parse(args.group)
     report = denominator_prime_report(PGMF(_load_series(args.f), group))
     return {
         "primes": sorted(report.primes),
@@ -231,8 +203,8 @@ def cmd_denom_primes(args):
 
 
 def cmd_validate_basis(args):
-    group = _group(args.group)
-    basis = _basis_for(group, args.prec, args.basis)
+    group = GroupDescriptor.parse(args.group)
+    basis = load_basis(group, args.prec, args.basis)
     checks = validate_basis(basis)
     return {
         "group": args.group,

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import jsonio
 from .errors import (
     CorruptBasisError,
     MalformedInputError,
@@ -224,15 +225,7 @@ def load_basis(group: GroupDescriptor, precision: int, path=None) -> CuspFormBas
 
 
 def _basis_from_file(group: GroupDescriptor, precision: int, path) -> CuspFormBasis:
-    import json
-
-    from . import jsonio
-
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
-    except OSError as exc:
-        raise MalformedInputError(f"{path}: {exc.strerror or exc}") from None
+    obj = jsonio.load_json_file(path)
     if not isinstance(obj, dict) or "group" not in obj or "forms" not in obj:
         raise MalformedInputError("basis file needs 'group' and 'forms' entries")
     file_group = GroupDescriptor.parse(obj["group"])

@@ -37,8 +37,9 @@ from .errors import (
     UnsupportedGroupError,
 )
 from .etaforms import CuspFormBasis
+from .jsonio import format_rational, parse_rational, series_from_obj, series_to_obj
 from .linalg import solve_full_column_rank
-from .numberfield import denominator_primes, is_rational
+from .numberfield import CyclotomicElement, FieldTag, denominator_primes, is_rational
 from .qseries import QExpansion, exp_from_logderiv, first_disagreement
 from .subgroup import GroupDescriptor, j_normalizes, kappa
 
@@ -114,7 +115,8 @@ class DenominatorReport:
 
 
 def cofactor_prefix(f: PGMF, f1_prefix, kap: int):
-    """Coefficients a0(0..kappa) solving a(h+n) = sum a1(h+j) a0(n-j).
+    """Coefficients a0(0..kappa) solving a(h+n) = sum a1(h+j) a0(n-j),
+    i.e. q^-h f divided by the prefix series.
 
     ``f1_prefix`` holds a1(h..h+kappa) with a1(h) = 1; both f and the
     prefix must be normalized.
@@ -137,28 +139,19 @@ def cofactor_prefix(f: PGMF, f1_prefix, kap: int):
         raise PrecisionError(
             f"need {kap + 1} coefficients of f from its lead, have {e.precision - h}"
         )
-    a0 = [field.one]
-    for n in range(1, kap + 1):
-        acc = e.coeff(h + n)
-        for j in range(1, n + 1):
-            if prefix[j]:
-                acc = acc - prefix[j] * a0[n - j]
-        a0.append(acc)
-    return a0
+    prefix_series = QExpansion(e.level, 0, prefix, kap + 1, field)
+    return list(e.shift(-h).truncate(kap + 1).divide(prefix_series).coeffs)
 
 
 def logderiv_prefix(a0):
-    """Coefficients b0(1..kappa) from n a0(n) = sum_{k<=n} b0(k) a0(n-k)."""
+    """Coefficients b0(1..kappa) from n a0(n) = sum_{k<=n} b0(k) a0(n-k),
+    i.e. the theta-logarithmic derivative of the series with coefficients a0."""
     if not a0 or a0[0] != 1:
         raise NotNormalizedError("a0 must start with 1")
-    b0 = []
-    for n in range(1, len(a0)):
-        acc = n * a0[n]
-        for k in range(1, n):
-            if a0[n - k]:
-                acc = acc - b0[k - 1] * a0[n - k]
-        b0.append(acc)
-    return b0
+    # the field of the first cyclotomic entry; Q (conductor None) if none
+    conductor = next((c.conductor for c in a0 if isinstance(c, CyclotomicElement)), None)
+    logd = QExpansion(1, 0, a0, len(a0), FieldTag(conductor)).theta_logderiv()
+    return [logd.coeff(n) for n in range(1, len(a0))]
 
 
 def fit_cusp_form(b0_prefix, basis: CuspFormBasis) -> FitResult:
@@ -185,33 +178,32 @@ def fit_cusp_form(b0_prefix, basis: CuspFormBasis) -> FitResult:
                 ),
             )
         b.append(value)
-    if d == 0:
-        for i, value in enumerate(b):
-            if value:
-                return FitResult(
-                    None,
-                    InconsistencyWitness(
-                        row=i + 1,
-                        residual=value,
-                        reason="no cusp forms exist but the prefix forces a nonzero g0",
-                    ),
-                )
-        return FitResult((), None)
     a_rows = [[form.coeff(n) for form in basis.forms] for n in range(1, len(b) + 1)]
     x, bad = solve_full_column_rank(a_rows, b)
     if bad is not None:
         residual = b[bad] - sum(a_rows[bad][j] * x[j] for j in range(d))
+        if d == 0:
+            reason = "no cusp forms exist but the prefix forces a nonzero g0"
+        else:
+            reason = "row contradicts the unique fit"
         return FitResult(
-            None,
-            InconsistencyWitness(
-                row=bad + 1, residual=residual, reason="row contradicts the unique fit"
-            ),
+            None, InconsistencyWitness(row=bad + 1, residual=residual, reason=reason)
         )
     return FitResult(tuple(x), None)
 
 
 # ----------------------------------------------------------------------
 # decomposition
+
+
+def working_precision(f: PGMF, precision: int) -> int:
+    """Precision to which g0, f0 and the basis forms are needed for a
+    decomposition of f to ``precision``.
+
+    f1 = f / f0 is known to min(P_f, P_f0 + h) for f = q^h (1 + ...), so a
+    pole of order k at the cusp (h = -k) costs f0 k extra terms.
+    """
+    return precision - min(f.expansion.lead, 0)
 
 
 def decompose_with_prefix(
@@ -232,7 +224,6 @@ def decompose_with_prefix(
         raise GroupMismatchError(f"basis is for {basis.group}, f is on {f.group}")
     e = f.expansion
     kap = max(kappa(f.group), 0)
-    h = e.lead
     if e.precision < target_precision:
         raise PrecisionError(
             f"f is known to precision {e.precision}, below target {target_precision}"
@@ -244,7 +235,7 @@ def decompose_with_prefix(
         raise PrefixInconsistentError(fit.witness)
     coords = fit.coords
 
-    working = target_precision - min(h, 0)
+    working = working_precision(f, target_precision)
     g0 = QExpansion.zero(e.level, working)
     for c, form in zip(coords, basis.forms):
         if form.level != e.level:
@@ -489,8 +480,6 @@ def denominator_prime_report(f: PGMF) -> DenominatorReport:
 
 
 def witness_to_obj(witness: InconsistencyWitness) -> dict:
-    from .jsonio import format_rational
-
     return {
         "row": witness.row,
         "residual": None if witness.residual is None else format_rational(witness.residual),
@@ -499,8 +488,6 @@ def witness_to_obj(witness: InconsistencyWitness) -> dict:
 
 
 def decomposition_to_obj(dec: CanonicalDecomposition, checks=None) -> dict:
-    from .jsonio import format_rational, series_to_obj
-
     obj = {
         "f1": series_to_obj(dec.f1.expansion),
         "f0": series_to_obj(dec.f0.expansion),
@@ -513,8 +500,6 @@ def decomposition_to_obj(dec: CanonicalDecomposition, checks=None) -> dict:
 
 
 def decomposition_from_obj(obj, group: GroupDescriptor) -> CanonicalDecomposition:
-    from .jsonio import parse_rational, series_from_obj
-
     missing = {"f1", "f0", "g0", "basis_coords"} - set(obj)
     if missing:
         raise MalformedInputError(f"decomposition object missing keys: {sorted(missing)}")

@@ -8,11 +8,26 @@ re-emitting a re-parsed document reproduces it byte for byte.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 from .errors import MalformedInputError
 from .numberfield import RATIONAL, CyclotomicElement, FieldTag, euler_phi
 from .qseries import QExpansion
+
+
+def load_json_file(path):
+    """Parse a JSON file (``-`` reads stdin); an unreadable file or
+    invalid JSON raises MalformedInputError."""
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise MalformedInputError(f"{path}: not valid JSON ({exc})") from None
+    except OSError as exc:
+        raise MalformedInputError(f"{path}: {exc.strerror or exc}") from None
 
 
 def dumps(payload) -> str:
@@ -50,7 +65,7 @@ def field_from_obj(obj) -> FieldTag:
         return RATIONAL
     if obj["kind"] == "cyclotomic":
         m = obj.get("conductor")
-        if not isinstance(m, int) or m < 1:
+        if type(m) is not int or m < 1:  # JSON true is not a conductor
             raise MalformedInputError(f"bad conductor {m!r}")
         return FieldTag.cyclotomic(m)
     raise MalformedInputError(f"unknown field kind {obj['kind']!r}")
@@ -94,7 +109,7 @@ def series_from_obj(obj) -> QExpansion:
     if missing:
         raise MalformedInputError(f"series object missing keys: {sorted(missing)}")
     level, lead, precision = obj["level"], obj["lead"], obj["precision"]
-    if not all(isinstance(v, int) for v in (level, lead, precision)):
+    if not all(type(v) is int for v in (level, lead, precision)):  # JSON true is not an integer
         raise MalformedInputError("level, lead and precision must be integers")
     tag = field_from_obj(obj["field"])
     coeffs = [element_from_obj(c, tag) for c in obj["coeffs"]]

@@ -1,69 +1,56 @@
 """Exact rational linear algebra.
 
-Fraction-free (Bareiss) elimination on denominator-cleared rows gives the
-rank without intermediate fraction blowup; the small solve needed on top
-of it runs over Fractions directly.  Systems here are tall and thin (at
-most a few dozen rows, a handful of columns).
+One Gauss-Jordan elimination over Fractions serves both the rank and the
+solve.  It takes the rows in order, so the pivot rows are the first
+linearly independent rows, and a row that reduces to zero is a
+combination of the rows before it.  Systems here are tall and thin (at
+most a few dozen rows, a handful of columns), so Fraction arithmetic on
+them stays small.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 
-def _integer_rows(rows):
-    """Clear denominators row by row (row scaling keeps rank and
-    consistency intact)."""
-    out = []
-    for row in rows:
-        fracs = [Fraction(x) for x in row]
-        lcm = 1
-        for x in fracs:
-            lcm = lcm // gcd(lcm, x.denominator) * x.denominator
-        out.append([int(x * lcm) for x in fracs])
-    return out
+def _gauss_jordan(rows, width):
+    """Reduce the rows in order against the pivots found so far.
 
-
-def _bareiss_pivots(mat):
-    """Pivot (row, col) positions of an integer matrix, in-place Bareiss
-    elimination with row pivoting on nonzero entries."""
-    if not mat:
-        return []
-    nrows, ncols = len(mat), len(mat[0])
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = None
-        for i in range(r, nrows):
-            if mat[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    Pivots are sought only in the first ``width`` entries of a row; the
+    entries after them are carried along (the right-hand side of an
+    augmented system).  Returns ``(pivots, bad)``: ``pivots`` maps each
+    pivot column to its row, scaled to 1 there and zero in every other
+    pivot column; ``bad`` is the index of the first row whose first
+    ``width`` entries reduce to zero while a carried entry does not, or
+    None.
+    """
+    pivots = {}
+    bad = None
+    for i, row in enumerate(rows):
+        r = [Fraction(v) for v in row]
+        for c, p in pivots.items():
+            if r[c]:
+                factor = r[c]
+                r = [v - factor * w for v, w in zip(r, p)]
+        col = next((j for j in range(width) if r[j]), None)
+        if col is None:
+            if bad is None and any(r[width:]):
+                bad = i
             continue
-        if pivot_row != r:
-            mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        piv = mat[r][c]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                num = piv * mat[i][j] - mat[i][c] * mat[r][j]
-                q, rem = divmod(num, prev)
-                assert rem == 0, "fraction-free elimination produced a remainder"
-                mat[i][j] = q
-            mat[i][c] = 0
-        prev = piv
-        pivots.append((r, c))
-        r += 1
-    return pivots
+        inv = 1 / r[col]
+        r = [v * inv for v in r]
+        for c, p in pivots.items():
+            if p[col]:
+                factor = p[col]
+                pivots[c] = [v - factor * w for v, w in zip(p, r)]
+        pivots[col] = r
+    return pivots, bad
 
 
 def rank(rows) -> int:
     """Exact rank of a matrix with rational entries."""
-    mat = _integer_rows(rows)
-    return len(_bareiss_pivots(mat))
+    width = len(rows[0]) if rows else 0
+    return len(_gauss_jordan(rows, width)[0])
 
 
 def solve_full_column_rank(a_rows, b):
@@ -74,45 +61,8 @@ def solve_full_column_rank(a_rows, b):
     with A_i . x != b_i (None when the whole system is consistent).
     Raises ValueError if A does not have full column rank.
     """
-    nrows = len(a_rows)
-    ncols = len(a_rows[0]) if nrows else 0
-    if ncols == 0:
-        x = []
-        for i, value in enumerate(b):
-            if value:
-                return x, i
-        return x, None
-
-    # find the first d independent rows, scanning in order
-    chosen = []
-    for i in range(nrows):
-        trial = [a_rows[j] for j in chosen] + [a_rows[i]]
-        if rank(trial) > len(chosen):
-            chosen.append(i)
-            if len(chosen) == ncols:
-                break
-    if len(chosen) < ncols:
+    width = len(a_rows[0]) if a_rows else 0
+    pivots, bad = _gauss_jordan([list(row) + [v] for row, v in zip(a_rows, b)], width)
+    if len(pivots) < width:
         raise ValueError("matrix does not have full column rank")
-
-    # plain Gaussian elimination over Fractions on the square subsystem
-    sq = [[Fraction(a_rows[i][j]) for j in range(ncols)] + [Fraction(b[i])] for i in chosen]
-    for c in range(ncols):
-        pr = next(i for i in range(c, ncols) if sq[i][c])
-        if pr != c:
-            sq[c], sq[pr] = sq[pr], sq[c]
-        inv = 1 / sq[c][c]
-        sq[c] = [v * inv for v in sq[c]]
-        for i in range(ncols):
-            if i != c and sq[i][c]:
-                factor = sq[i][c]
-                sq[i] = [v - factor * w for v, w in zip(sq[i], sq[c])]
-    x = [sq[i][ncols] for i in range(ncols)]
-
-    for i in range(nrows):
-        acc = Fraction(0)
-        for j in range(ncols):
-            if a_rows[i][j]:
-                acc += Fraction(a_rows[i][j]) * x[j]
-        if acc != b[i]:
-            return x, i
-    return x, None
+    return [pivots[c][width] for c in range(width)], bad

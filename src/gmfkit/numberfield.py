@@ -88,7 +88,8 @@ def cyclotomic_polynomial(m: int) -> tuple:
         if m % d == 0:
             den = _poly_mul(den, cyclotomic_polynomial(d))
     quot, rem = _poly_divmod_monic(num, den)
-    assert not any(rem), "x^m - 1 not divisible by product of proper Phi_d"
+    if any(rem):
+        raise ArithmeticError("x^m - 1 not divisible by product of proper Phi_d")
     return tuple(quot)
 
 
@@ -149,7 +150,8 @@ def _poly_invert_mod(a, mod):
             news[i] -= c
         s0, s1 = s1, news
     g = r1[_poly_degree(r1)] if _poly_degree(r1) == 0 else None
-    assert g, "element shares a factor with the (irreducible) modulus"
+    if not g:
+        raise ArithmeticError("element shares a factor with the (irreducible) modulus")
     inv = [c / g for c in s1]
     _, inv = _poly_divmod_frac(inv, mod)
     return inv
@@ -318,6 +320,9 @@ class CyclotomicElement:
         return NotImplemented
 
     def __hash__(self):
+        # a rational-valued element equals its rational, so it hashes as one
+        if not any(self.coords[1:]):
+            return hash(self.coords[0])
         return hash((self.conductor, self.coords))
 
     def __repr__(self):

@@ -199,19 +199,8 @@ class QExpansion:
         precision = available if target_precision is None else min(target_precision, available)
         if precision <= -h:
             raise PrecisionError("no coefficients of the inverse are determined")
-        terms = precision + h
-        inv0 = self.coeffs[0] ** -1
-        out = [inv0]
-        u = self.coeffs
-        for n in range(1, terms):
-            acc = None
-            for k in range(1, min(n, len(u) - 1) + 1):
-                if not u[k]:
-                    continue
-                t = u[k] * out[n - k]
-                acc = t if acc is None else acc + t
-            out.append(-inv0 * acc if acc is not None else self.field.zero)
-        return QExpansion(self.level, -h, out, precision, self.field)
+        one = QExpansion.one(self.level, self.precision - h, self.field)
+        return one.divide(self, target_precision)
 
     def divide(self, other: "QExpansion", target_precision=None) -> "QExpansion":
         """self / other by one direct recursion; agrees with
@@ -298,18 +287,11 @@ class QExpansion:
 
     def rescale_level(self, new_level: int) -> "QExpansion":
         """Re-express at a finer level: q_N = q_L^(L/N), exponents scale by L/N."""
+        if new_level < 1:
+            raise BadLevelError(f"level must be a positive integer, got {new_level!r}")
         if new_level % self.level != 0:
             raise BadLevelError(f"{new_level} is not a multiple of level {self.level}")
-        c = new_level // self.level
-        if c == 1:
-            return self
-        if self.is_zero:
-            return QExpansion.zero(new_level, c * self.precision, self.field)
-        zero = self.field.zero
-        out = [zero] * (c * (len(self.coeffs) - 1) + 1)
-        for i, a in enumerate(self.coeffs):
-            out[c * i] = a
-        return QExpansion(new_level, c * self.lead, out, c * self.precision, self.field)
+        return self._spread(new_level // self.level, new_level)
 
     def reduce_level(self, new_level: int) -> "QExpansion":
         """Inverse of rescale_level; every known exponent must lie on the
@@ -339,15 +321,19 @@ class QExpansion:
         """Replace q by q^d at the same level (z -> d z on expansions)."""
         if d < 1:
             raise ValueError("substitution exponent must be positive")
-        if d == 1:
+        return self._spread(d, self.level)
+
+    def _spread(self, c: int, level: int) -> "QExpansion":
+        """Multiply every exponent and the precision by c >= 1, tagging
+        the result with ``level``."""
+        if c == 1:
             return self
         if self.is_zero:
-            return QExpansion.zero(self.level, d * self.precision, self.field)
-        zero = self.field.zero
-        out = [zero] * (d * (len(self.coeffs) - 1) + 1)
+            return QExpansion.zero(level, c * self.precision, self.field)
+        out = [self.field.zero] * (c * (len(self.coeffs) - 1) + 1)
         for i, a in enumerate(self.coeffs):
-            out[d * i] = a
-        return QExpansion(self.level, d * self.lead, out, d * self.precision, self.field)
+            out[c * i] = a
+        return QExpansion(level, c * self.lead, out, c * self.precision, self.field)
 
     # ------------------------------------------------------------------
     # coefficient field maps

@@ -110,6 +110,26 @@ class TestSeriesVerbs:
         code, out = invoke(capsys, "logderiv", "--f", "/nonexistent/f.json")
         assert code == 2 and json.loads(out)["error_kind"] == "malformed-input"
 
+    def test_rescale_to_negative_level(self, capsys, f11_path):
+        code, out = invoke(capsys, "rescale", "--f", f11_path, "--level", "-2")
+        assert code == 2 and json.loads(out)["error_kind"] == "bad-level"
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"level": True, "lead": 0, "precision": 2,
+             "field": {"kind": "rational"}, "coeffs": ["1", "2"]},
+            {"level": 1, "lead": 0, "precision": 2,
+             "field": {"kind": "cyclotomic", "conductor": True}, "coeffs": [["1"], ["2"]]},
+        ],
+        ids=["level", "conductor"],
+    )
+    def test_json_boolean_is_not_an_integer(self, capsys, tmp_path, obj):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(obj))
+        code, out = invoke(capsys, "logderiv", "--f", str(path))
+        assert code == 2 and json.loads(out)["error_kind"] == "malformed-input"
+
 
 class TestDecomposeVerify:
     def test_decompose_and_verify(self, capsys, tmp_path):
@@ -202,6 +222,20 @@ class TestVerifyWithBasis:
         assert code == 2
         assert json.loads(out)["error_kind"] == "no-basis-available"
 
+    def test_basis_file_not_json(self, capsys, tmp_path, f_and_dec):
+        f_path, dec_path = f_and_dec
+        basis_path = tmp_path / "basis.json"
+        basis_path.write_text("{not json")
+        code, out = invoke(
+            capsys,
+            "verify", "--f", f_path, "--dec", dec_path, "--group", "gamma0:11",
+            "--basis", str(basis_path),
+        )
+        assert code == 2
+        obj = json.loads(out)
+        assert obj["error_kind"] == "malformed-input"
+        assert obj["message"].startswith(f"{basis_path}: not valid JSON (")
+
     def test_missing_basis_file(self, capsys, tmp_path, f_and_dec):
         f_path, dec_path = f_and_dec
         code, out = invoke(
@@ -252,6 +286,38 @@ class TestCertify:
         )
         assert len(results) == 2
         assert all(r["certificate"]["verdict"] == "finite-order-consistent" for r in results)
+
+    def test_jobs_capped_at_file_count(self, capsys, monkeypatch, f11_path):
+        import concurrent.futures
+
+        pool_sizes = []
+
+        class InlinePool:
+            """Records the requested size and runs the work in-process."""
+
+            def __init__(self, max_workers):
+                pool_sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        results = invoke_json(
+            capsys,
+            "certify",
+            "--f", f11_path, f11_path,
+            "--group", "gamma0:11",
+            "--prec", "20",
+            "--jobs", "64",
+        )
+        assert pool_sizes == [2]
+        assert [r["input"] for r in results] == [f11_path, f11_path]
 
     def test_multiple_files_parallel(self, capsys, tmp_path, f11_path):
         results = invoke_json(

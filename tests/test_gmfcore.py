@@ -91,6 +91,13 @@ class TestLogderivPrefix:
         f = exp_from_logderiv(g, 4)
         assert logderiv_prefix(list(f.coeffs)) == [F(3), F(-1, 2), F(5)]
 
+    def test_cyclotomic_coefficients(self):
+        z = CyclotomicElement.zeta(3)
+        one = CyclotomicElement.from_rational(3, 1)
+        # b0(1) = a0(1) = z; b0(2) = 2 a0(2) - b0(1) a0(1) = z^2
+        assert logderiv_prefix([one, z, z * z]) == [z, z * z]
+        assert logderiv_prefix([F(1), z, z * z]) == [z, z * z]
+
 
 class TestFitCuspForm:
     def test_one_dimensional(self):

@@ -217,3 +217,10 @@ def test_field_tag_coercion():
     with pytest.raises(ValueError):
         tag.coerce(CyclotomicElement.zeta(3))
     assert RATIONAL.is_rational_field and not tag.is_rational_field
+
+
+def test_rational_valued_element_hashes_as_its_rational():
+    assert CyclotomicElement(4, [3]) == F(3)
+    assert hash(CyclotomicElement(4, [3])) == hash(F(3)) == hash(3)
+    assert len({CyclotomicElement(4, [3]), F(3)}) == 1
+    assert len({CyclotomicElement.zeta(4), CyclotomicElement(4, [0, 1])}) == 1

@@ -1,0 +1,23 @@
+"""Checks on the package source itself."""
+
+import ast
+from pathlib import Path
+
+import gmfkit
+
+SOURCES = sorted(Path(gmfkit.__file__).parent.glob("*.py"))
+
+
+def test_sources_found():
+    assert len(SOURCES) > 1
+
+
+def test_no_assert_statements():
+    # python -O strips assert, so a runtime condition must raise explicitly
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
