@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from . import jsonio
@@ -328,24 +329,32 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        payload = args.handler(args)
+        payload, code = args.handler(args), 0
     except GmfError as exc:
-        print(jsonio.dumps({"error_kind": exc.kind, "message": str(exc)}))
-        return 2
+        payload, code = {"error_kind": exc.kind, "message": str(exc)}, 2
     except (ValueError, TypeError, KeyError, OverflowError) as exc:
-        print(jsonio.dumps({"error_kind": "malformed-input", "message": str(exc)}))
-        return 2
+        payload, code = {"error_kind": "malformed-input", "message": str(exc)}, 2
     text = jsonio.dumps(payload)
-    if args.output:
+    if code == 0 and args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
-    else:
+        return 0
+    try:
         print(text)
-    return 0
+    except BrokenPipeError:  # the reader closed stdout early and wants no more
+        return 0
+    return code
 
 
 def main():
-    sys.exit(run())
+    code = run()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point fd 1 at devnull so the interpreter's final flush of what is
+        # still buffered stays quiet; run() leaves fd 1 alone for in-process callers.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -31,6 +31,12 @@ from .linalg import rank
 from .qseries import QExpansion
 from .subgroup import GAMMA, GAMMA0, GAMMA1, GroupDescriptor, kappa
 
+# Caps on what an eta expansion may be asked for, far above every shipped
+# or documented use (24 * 500 exponents, sum |r_d| = 48), so that an
+# outsized request is refused before anything is allocated.
+MAX_ETA_PRECISION = 100_000  # exponents from min(lead, 0) up to precision
+MAX_ETA_EXPONENT_SUM = 1_000  # sum |r_d| of an eta quotient
+
 
 def euler_product(terms: int) -> QExpansion:
     """prod_{n>=1} (1 - q^n) to the given number of terms, at level 1.
@@ -62,6 +68,7 @@ def eta_expansion(precision: int) -> QExpansion:
     support on the odd squares (6k-1)^2."""
     if precision <= 1:
         raise PrecisionError("precision must exceed the lead exponent 1")
+    _check_precision_cap(precision)
     nterms = (precision - 2) // 24 + 1
     unit = euler_product(nterms)
     coeffs = [0] * (precision - 1)
@@ -100,6 +107,11 @@ class EtaQuotient:
                 raise MalformedInputError(
                     f"divisor {d} does not divide the ambient level {ambient}"
                 )
+        weight = sum(abs(r) for _, r in terms)
+        if weight > MAX_ETA_EXPONENT_SUM:
+            raise MalformedInputError(
+                f"exponent sum {weight} exceeds the cap {MAX_ETA_EXPONENT_SUM}"
+            )
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "ambient_level", ambient)
 
@@ -141,12 +153,20 @@ def eta_quotient_expansion(eq: EtaQuotient, precision: int) -> QExpansion:
         raise PrecisionError(
             f"precision {precision} does not reach past the lead exponent {lead}"
         )
+    _check_precision_cap(precision - min(lead, 0))
     rel_terms = -(-(precision - lead) // out_level)
     bucket = -(-rel_terms // 32) * 32  # quantized for factor reuse
     unit = QExpansion.one(1, rel_terms)
     for d, r in eq.terms:
         unit = unit * _unit_factor(d, r, bucket).truncate(rel_terms)
     return unit.rescale_level(out_level).shift(lead).truncate(precision)
+
+
+def _check_precision_cap(window: int):
+    if window > MAX_ETA_PRECISION:
+        raise PrecisionError(
+            f"expansion window of {window} exponents exceeds the cap {MAX_ETA_PRECISION}"
+        )
 
 
 @lru_cache(maxsize=512)

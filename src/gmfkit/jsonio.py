@@ -42,7 +42,7 @@ def format_rational(x) -> str:
 
 
 def parse_rational(text) -> Fraction:
-    if isinstance(text, int):
+    if type(text) is int:  # JSON true is not a coefficient
         return Fraction(text)
     if not isinstance(text, str):
         raise MalformedInputError(f"expected a rational string, got {text!r}")

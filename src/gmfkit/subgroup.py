@@ -6,19 +6,20 @@ enumerated once per group by breadth-first search over the generators
 S = (0 -1; 1 0) and T = (1 1; 0 1); the same table serves the index, the
 cusp count (orbits of the right T-action) and representative extraction.
 
-Matrices are reduced mod N to identify cosets: each of the three kinds
-contains Gamma(N), so the right coset of g depends only on g mod N, and
-the mod-N image of the subgroup is exactly the set of residues meeting
-its defining congruences.  The BFS state space is therefore bounded by
-|SL_2(Z/N)| while the stored representatives keep exact integer entries.
+Each coset is named by a canonical key of g mod N (every kind contains
+Gamma(N), so the right coset of g depends only on g mod N).  The BFS
+visits index-many states and the table holds one key per coset, while
+the representatives keep exact integer entries.  Groups of index above
+``MAX_INDEX`` are refused before any search.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
-from .errors import BadGroupError, BadMatrixError
+from .errors import BadGroupError, BadMatrixError, UnsupportedGroupError
 
 GAMMA0 = "gamma0"
 GAMMA1 = "gamma1"
@@ -169,34 +170,34 @@ def p_index(group: GroupDescriptor) -> int:
     return idx // 2
 
 
-def _image_mod_level(group: GroupDescriptor):
-    """All residues mod N satisfying the defining congruences.
+# Largest index a coset table is built for.  Gamma(N) has index ~N^3/2,
+# so without a cap a modest level would exhaust memory.
+MAX_INDEX = 100_000
 
-    The reduction SL_2(Z) -> SL_2(Z/N) is surjective and each kind is the
-    full preimage of this set, so it is exactly the mod-N image.
+
+def _coset_key(group: GroupDescriptor, mat: IntegerMatrix) -> tuple:
+    """Canonical name of the right coset P Gamma mat, sign quotiented out.
+
+    Left multiplication by the group fixes, of mat mod N: for Gamma(N)
+    the whole residue; for Gamma_1(N) the bottom row (c, d); for
+    Gamma_0(N) the bottom row up to a unit, a point of P^1(Z/N).  That
+    point's normal form: a unit u takes c to g = gcd(c, N), the units
+    fixing g are the v = 1 mod N/g, and the least d u v over those (g
+    candidates, not phi(N)) is the second coordinate.
     """
     n = group.level
-    if n == 1:
-        return [(0, 0, 0, 0)]
     if group.kind == GAMMA:
-        return [(1 % n, 0, 0, 1 % n)]
+        key = mat.mod(n)
+        return min(key, tuple(-x % n for x in key))
+    c, d = mat.c % n, mat.d % n
     if group.kind == GAMMA1:
-        return [(1 % n, b, 0, 1 % n) for b in range(n)]
-    out = []
-    for a in range(n):
-        try:
-            d = pow(a, -1, n)
-        except ValueError:
-            continue
-        for b in range(n):
-            out.append((a, b, 0, d))
-    return out
-
-
-def _mul_mod(x, y, n):
-    a, b, c, d = x
-    e, f, g, h = y
-    return ((a * e + b * g) % n, (a * f + b * h) % n, (c * e + d * g) % n, (c * f + d * h) % n)
+        return min((c, d), (-c % n, -d % n))
+    g = math.gcd(c, n)
+    m = n // g
+    u = pow(c // g, -1, m)  # c/g is a unit mod N/g; lift it to one mod N
+    while math.gcd(u, n) != 1:
+        u += m
+    return g, min(d * u * v % n for v in range(1, n + 1, m) if math.gcd(v, n) == 1)
 
 
 class CosetTable:
@@ -204,37 +205,22 @@ class CosetTable:
 
     def __init__(self, group: GroupDescriptor):
         self.group = group
-        self.reps: list[IntegerMatrix] = []
-        self._coset_of: dict[tuple, int] = {}
-        self._build()
-
-    def _build(self):
-        n = self.group.level
-        image = _image_mod_level(self.group)
-        queue = [IDENTITY]
-        head = 0
-        coset_of = self._coset_of
-        while head < len(queue):
-            g = queue[head]
-            head += 1
-            key = g.mod(n)
-            if key in coset_of:
-                continue
-            idx = len(self.reps)
-            self.reps.append(g)
-            # mark every residue of the coset, projectively: +/- (image * g)
-            for im in image:
-                r = _mul_mod(im, key, n)
-                coset_of[r] = idx
-                coset_of[tuple(-x % n for x in r)] = idx
-            queue.append(g * GEN_S)
-            queue.append(g * GEN_T)
+        self.reps: list[IntegerMatrix] = [IDENTITY]
+        self._coset_of: dict[tuple, int] = {_coset_key(group, IDENTITY): 0}
+        # reps doubles as the BFS queue: the loop reaches each new coset
+        # in the order it is appended
+        for g in self.reps:
+            for h in (g * GEN_S, g * GEN_T):
+                key = _coset_key(group, h)
+                if key not in self._coset_of:
+                    self._coset_of[key] = len(self.reps)
+                    self.reps.append(h)
 
     def __len__(self):
         return len(self.reps)
 
     def coset_index(self, mat: IntegerMatrix) -> int:
-        return self._coset_of[mat.mod(self.group.level)]
+        return self._coset_of[_coset_key(self.group, mat)]
 
     def t_action(self):
         """Permutation induced on cosets by right multiplication by T."""
@@ -246,6 +232,12 @@ _TABLE_LOCK = threading.Lock()
 
 
 def coset_table(group: GroupDescriptor) -> CosetTable:
+    """The cached coset table; UnsupportedGroupError above MAX_INDEX."""
+    index = p_index(group)
+    if index > MAX_INDEX:
+        raise UnsupportedGroupError(
+            f"{group} has index {index}, above the coset-table cap {MAX_INDEX}"
+        )
     with _TABLE_LOCK:
         table = _TABLE_CACHE.get(group)
         if table is None:
@@ -316,11 +308,9 @@ def j_twist(mat: IntegerMatrix) -> IntegerMatrix:
 def j_normalizes(group: GroupDescriptor) -> bool:
     """Whether conjugation by diag(-1, 1) maps the group onto itself.
 
-    Checked directly: the group is the preimage of its mod-N image, and
-    the twist acts entrywise, so it suffices that every image residue
-    still satisfies the congruences after the off-diagonal sign flip.
+    True for all three kinds: the twist negates only the off-diagonal
+    entries b and c, and no defining congruence (c = 0 for Gamma_0,
+    also a = d = 1 for Gamma_1, also b = 0 for Gamma, all mod N) sees
+    their sign.
     """
-    for (a, b, c, d) in _image_mod_level(group):
-        if not _congruences_hold(a, -b, -c, d, group):
-            return False
     return True

@@ -1,7 +1,16 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import gmfkit
 from gmfkit import jsonio
 from gmfkit.cli import run
 from gmfkit.etaforms import EtaQuotient, eta_quotient_expansion
@@ -129,6 +138,22 @@ class TestSeriesVerbs:
         path.write_text(json.dumps(obj))
         code, out = invoke(capsys, "logderiv", "--f", str(path))
         assert code == 2 and json.loads(out)["error_kind"] == "malformed-input"
+
+    def test_json_boolean_is_not_a_coefficient(self, capsys, tmp_path, f11_path):
+        f_path = tmp_path / "f.json"
+        f_path.write_text(json.dumps({"level": 1, "lead": 0, "precision": 3,
+                                      "field": {"kind": "rational"}, "coeffs": ["1", True, "2"]}))
+        code, out = invoke(capsys, "logderiv", "--f", str(f_path))
+        assert code == 2 and json.loads(out)["error_kind"] == "malformed-input"
+        prefix_path = tmp_path / "p.json"
+        prefix_path.write_text(json.dumps(["1", True]))
+        code, out = invoke(capsys, "certify", "--f", f11_path, "--group", "gamma0:11",
+                           "--prec", "20", "--prefix", str(prefix_path))
+        assert code == 2 and json.loads(out)["error_kind"] == "malformed-input"
+
+    def test_eta_precision_cap(self, capsys):
+        code, out = invoke(capsys, "eta-expand", "1^1", "--prec", "300000000")
+        assert code == 2 and json.loads(out)["error_kind"] == "insufficient-precision"
 
 
 class TestDecomposeVerify:
@@ -395,3 +420,121 @@ class TestCanonicalRoundTrip:
         obj = jsonio.series_to_obj(f)
         assert jsonio.series_from_obj(obj) == f
         assert jsonio.dumps(jsonio.series_to_obj(jsonio.series_from_obj(obj))) == jsonio.dumps(obj)
+
+
+class TestClosedStdout:
+    # The reader goes away, as in `gmfkit cosets gamma0:2000 | head -2`:
+    # either before a short output leaves the stdout buffer (it fails at the
+    # final flush) or after a few bytes of an output larger than the 64 KiB
+    # pipe buffer (it fails inside print).
+    @pytest.mark.parametrize(
+        "argv, read",
+        [(["kappa", "gamma0:11"], 0), (["cosets", "gamma0:2000"], 16)],
+        ids=["at-final-flush", "inside-print"],
+    )
+    def test_reader_closing_early_is_not_an_error(self, argv, read):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gmfkit.__file__)))
+        env.pop("PYTHONUNBUFFERED", None)  # block-buffered stdout, as in a shell pipeline
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gmfkit.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        if read:
+            assert proc.stdout.read(read)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0
+        assert b"Traceback" not in err and b"BrokenPipeError" not in err, err.decode()
+
+
+# ----------------------------------------------------------------------
+# fuzzing: no JSON input file may end in anything but exit 0, 1 or 2
+
+SCALARS = (
+    st.none() | st.booleans() | st.integers(-40, 40)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["1", "-2/3", "0", "1/0", "x", "", " 5 "]) | st.text(max_size=4)
+)
+ANY_JSON = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+COEFFS = st.sampled_from(["1", "-1", "2", "1/2", "0", "-3/4"]) | st.integers(-5, 5)
+CYCLOTOMIC_COEFFS = st.one_of(  # phi(3) = phi(4) = 2 coordinates, or a wrong count
+    st.lists(COEFFS, min_size=2, max_size=2), st.lists(COEFFS, min_size=1, max_size=3)
+)
+FIELDS = st.sampled_from([
+    {"kind": "rational"},
+    {"kind": "cyclotomic", "conductor": 3},
+    {"kind": "cyclotomic", "conductor": 4},
+])
+
+
+@st.composite
+def near_valid_series(draw):
+    """A valid series object, in about half the draws spoiled in one place:
+    a field or a coefficient replaced by arbitrary JSON, or a key dropped."""
+    lead = draw(st.integers(-3, 3))
+    size = draw(st.integers(0, 12))
+    field = draw(FIELDS)
+    coeff = CYCLOTOMIC_COEFFS if field["kind"] == "cyclotomic" and draw(st.booleans()) else COEFFS
+    coeffs = draw(st.lists(coeff, min_size=size, max_size=size))
+    if coeffs and draw(st.booleans()):
+        coeffs[0] = "1"  # normalized, as certify and decompose require
+    obj = {
+        "level": draw(st.sampled_from([1, 1, 2, 11])),
+        "lead": lead,
+        "precision": lead + size,
+        "field": field,
+        "coeffs": coeffs,
+    }
+    spoil = draw(st.sampled_from([None, None, None, "replace", "drop", "coeff"]))
+    if spoil == "coeff" and coeffs:
+        coeffs[draw(st.integers(0, size - 1))] = draw(SCALARS)
+    elif spoil is not None:
+        key = draw(st.sampled_from(sorted(obj)))
+        if spoil == "drop":
+            del obj[key]
+        else:
+            obj[key] = draw(ANY_JSON)
+    return obj
+
+
+# kappa(Gamma_0(11)) = 1, so a usable prefix there has two entries
+NEAR_VALID_PREFIX = st.one_of(
+    st.tuples(st.just("1"), COEFFS).map(list), st.lists(COEFFS | CYCLOTOMIC_COEFFS | SCALARS, max_size=4)
+)
+SERIES_FILES = st.one_of(near_valid_series(), near_valid_series(), ANY_JSON)
+PREFIX_FILES = st.one_of(
+    NEAR_VALID_PREFIX, st.builds(lambda p: {"prefix": p}, NEAR_VALID_PREFIX), ANY_JSON
+)
+GROUP = ["--group", "gamma0:11", "--prec", "6"]
+VERBS = [
+    ["logderiv", "--f", "F"],
+    ["mul", "--f", "F", "--g", "G"],
+    ["inv", "--f", "F"],
+    ["pow", "--f", "F", "--m", "2"],
+    ["rescale", "--f", "F", "--level", "2"],
+    ["certify", "--f", "F", *GROUP],
+    ["certify", "--f", "F", "--prefix", "P", *GROUP],
+    ["decompose", "--f", "F", "--prefix", "P", *GROUP],
+]
+
+
+class TestFuzz:
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(VERBS), SERIES_FILES, SERIES_FILES, PREFIX_FILES)
+    def test_arbitrary_json_inputs(self, verb, f_obj, g_obj, prefix_obj):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {}
+            for name, obj in (("F", f_obj), ("G", g_obj), ("P", prefix_obj)):
+                paths[name] = os.path.join(tmp, name + ".json")
+                with open(paths[name], "w", encoding="utf-8") as handle:
+                    json.dump(obj, handle)
+            argv = [paths.get(arg, arg) for arg in verb]
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                code = run(argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert "error_kind" in json.loads(out.getvalue())

@@ -11,6 +11,8 @@ from gmfkit.errors import (
     PrecisionError,
 )
 from gmfkit.etaforms import (
+    MAX_ETA_EXPONENT_SUM,
+    MAX_ETA_PRECISION,
     CuspFormBasis,
     EtaQuotient,
     eta_expansion,
@@ -142,6 +144,35 @@ class TestEtaQuotientExpansion:
     def test_insufficient_precision_for_negative_lead(self):
         with pytest.raises(PrecisionError):
             eta_quotient_expansion(EtaQuotient(((1, -24),), 1), -1)
+
+
+class TestSizeCaps:
+    # Sizes of 10**12 would exhaust memory if anything were allocated for
+    # them, so a PrecisionError (not a MemoryError) shows the early refusal.
+    def test_eta_expansion_precision(self):
+        eta_expansion(MAX_ETA_PRECISION)  # the cap itself is allowed
+        for precision in (MAX_ETA_PRECISION + 1, 10**12):
+            with pytest.raises(PrecisionError):
+                eta_expansion(precision)
+
+    def test_quotient_expansion_precision(self):
+        delta = EtaQuotient(((1, 24),), 1)
+        for precision in (MAX_ETA_PRECISION + 1, 10**12):
+            with pytest.raises(PrecisionError):
+                eta_quotient_expansion(delta, precision)
+
+    def test_quotient_window_counts_negative_lead(self):
+        # lead about -10**12 at level 24: a short precision still spans a huge window
+        quotient = EtaQuotient(((1, -1), (10**12, -1)), 10**12)
+        with pytest.raises(PrecisionError):
+            eta_quotient_expansion(quotient, 5)
+
+    def test_exponent_sum(self):
+        EtaQuotient(((1, MAX_ETA_EXPONENT_SUM // 2), (2, -MAX_ETA_EXPONENT_SUM // 2)))
+        with pytest.raises(MalformedInputError):
+            EtaQuotient(((1, MAX_ETA_EXPONENT_SUM // 2), (2, -MAX_ETA_EXPONENT_SUM // 2 - 1)))
+        with pytest.raises(MalformedInputError):
+            EtaQuotient.parse(f"1^{10**12}")
 
 
 class TestShippedCatalogue:

@@ -1,8 +1,13 @@
+import json
 import math
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gmfkit.errors import BadGroupError, BadMatrixError
+from gmfkit.cli import run
+from gmfkit.errors import BadGroupError, BadMatrixError, UnsupportedGroupError
 from gmfkit.subgroup import (
     GAMMA,
     GAMMA0,
@@ -10,10 +15,13 @@ from gmfkit.subgroup import (
     GEN_S,
     GEN_T,
     IDENTITY,
+    MAX_INDEX,
+    CosetTable,
     GroupDescriptor,
     IntegerMatrix,
     contains_minus_identity,
     coset_reps,
+    coset_table,
     cusp_count,
     invariants,
     is_member,
@@ -245,3 +253,66 @@ class TestJTwist:
             for gamma in (rep * GEN_T * rep.inverse(), rep * t_cubed * rep.inverse()):
                 if is_member(gamma, g):
                     assert is_member(j_twist(gamma), g) == j_normalizes(g)
+
+
+GEN_T_INV = IntegerMatrix(1, -1, 0, 1)
+WORD_GROUPS = (
+    [GroupDescriptor(GAMMA0, n) for n in (1, 2, 4, 6, 9, 11, 12, 25, 30, 36)]
+    + [GroupDescriptor(GAMMA1, n) for n in (1, 2, 3, 4, 5, 8, 12)]
+    + [GroupDescriptor(GAMMA, n) for n in (1, 2, 3, 4, 6)]
+)
+WORDS = st.lists(st.sampled_from([GEN_S, GEN_T, GEN_T_INV]), max_size=12)
+
+
+def word_product(word):
+    mat = IDENTITY
+    for gen in word:
+        mat = mat * gen
+    return mat
+
+
+class TestCosetKeys:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(WORD_GROUPS), WORDS, WORDS, WORDS, st.booleans())
+    def test_same_coset_iff_projective_member(self, group, g_word, h_word, w_word, conjugate):
+        g = word_product(g_word)
+        if conjugate:
+            # w T^N w^-1 lies in Gamma(N), hence in every kind: same coset as g
+            w = word_product(w_word)
+            h = w * word_product([GEN_T] * group.level) * w.inverse() * g
+        else:
+            h = word_product(h_word)
+        table = coset_table(group)
+        same = table.coset_index(g) == table.coset_index(h)
+        assert same == is_member(g * h.inverse(), group, projective=True)
+        assert same or not conjugate
+
+    @pytest.mark.parametrize("group", WORD_GROUPS)
+    def test_table_holds_one_key_per_coset(self, group):
+        table = CosetTable(group)
+        assert len(table._coset_of) == len(table.reps) == p_index(group)
+
+    def test_gamma0_2000_matches_closed_formulas(self):
+        group = GroupDescriptor(GAMMA0, 2000)
+        cusps = cusps_gamma0_formula(2000)
+        index = 2000 * 3 // 2 * 6 // 5  # N prod (1 + 1/p) over p = 2, 5
+        assert cusp_count(group) == cusps == 60
+        assert kappa(group) == index // 6 + 1 - cusps
+
+    def test_table_memory_is_proportional_to_index(self):
+        tracemalloc.start()
+        try:
+            table = CosetTable(GroupDescriptor(GAMMA0, 300))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 720
+        assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    def test_index_cap(self, capsys):
+        group = GroupDescriptor(GAMMA, 200)
+        assert p_index(group) > MAX_INDEX
+        with pytest.raises(UnsupportedGroupError):
+            coset_table(group)
+        assert run(["kappa", "gamma:200"]) == 2
+        assert json.loads(capsys.readouterr().out)["error_kind"] == "unsupported-group"
