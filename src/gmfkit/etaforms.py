@@ -28,13 +28,13 @@ from .errors import (
     PrecisionError,
 )
 from .linalg import rank
-from .qseries import QExpansion
+from .qseries import MAX_TERMS, QExpansion
 from .subgroup import GAMMA, GAMMA0, GAMMA1, GroupDescriptor, kappa
 
 # Caps on what an eta expansion may be asked for, far above every shipped
 # or documented use (24 * 500 exponents, sum |r_d| = 48), so that an
 # outsized request is refused before anything is allocated.
-MAX_ETA_PRECISION = 100_000  # exponents from min(lead, 0) up to precision
+MAX_ETA_PRECISION = MAX_TERMS  # exponents from min(lead, 0) up to precision
 MAX_ETA_EXPONENT_SUM = 1_000  # sum |r_d| of an eta quotient
 
 

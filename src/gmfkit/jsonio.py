@@ -2,18 +2,30 @@
 
 Integers inside rationals are carried as decimal strings so round trips
 are bit-exact; emission is canonical (sorted keys, fixed indentation), so
-re-emitting a re-parsed document reproduces it byte for byte.
+re-emitting a re-parsed document reproduces it byte for byte.  Integers
+past the interpreter's int/str digit limit are written and read through
+``decimal`` rather than by raising that process-wide limit; reading takes
+at most ``MAX_RATIONAL_DIGITS`` digits per integer.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import MalformedInputError
 from .numberfield import RATIONAL, CyclotomicElement, FieldTag, euler_phi
 from .qseries import QExpansion
+
+# Digits of one integer in a rational read from JSON (a cap, so that an
+# input cannot make the reader run for minutes).
+MAX_RATIONAL_DIGITS = 100_000
+
+# gmfkit's own form: an integer or a ratio of integers, in decimal
+_RATIONAL = re.compile(r"\s*([+-]?)(\d+)(?:/(\d+))?\s*")
 
 
 def load_json_file(path):
@@ -34,11 +46,25 @@ def dumps(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
+def _int_text(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return str(Decimal(n))
+
+
+def _text_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return int(Decimal(digits))
+
+
 def format_rational(x) -> str:
     x = Fraction(x)
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return _int_text(x.numerator)
+    return f"{_int_text(x.numerator)}/{_int_text(x.denominator)}"
 
 
 def parse_rational(text) -> Fraction:
@@ -46,8 +72,20 @@ def parse_rational(text) -> Fraction:
         return Fraction(text)
     if not isinstance(text, str):
         raise MalformedInputError(f"expected a rational string, got {text!r}")
+    plain = text.replace("−", "-")
+    match = _RATIONAL.fullmatch(plain)
+    if match is None and "e" in plain.lower():
+        # Fraction would expand an exponent such as "1e2000000000" into all its digits
+        raise MalformedInputError(f"bad rational {text[:40]!r}: exponent notation")
+    if match is not None and max(map(len, match.groups(""))) > MAX_RATIONAL_DIGITS:
+        raise MalformedInputError(
+            f"bad rational {text[:40]!r}...: more than {MAX_RATIONAL_DIGITS} digits"
+        )
     try:
-        return Fraction(text.replace("−", "-").strip())
+        if match is None:  # decimals such as "0.25"
+            return Fraction(plain.strip())
+        sign, num, den = match.groups("1")
+        return Fraction(_text_int(sign + num), _text_int(den))
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedInputError(f"bad rational {text!r}: {exc}") from None
 

@@ -1,10 +1,13 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -154,6 +157,30 @@ class TestSeriesVerbs:
     def test_eta_precision_cap(self, capsys):
         code, out = invoke(capsys, "eta-expand", "1^1", "--prec", "300000000")
         assert code == 2 and json.loads(out)["error_kind"] == "insufficient-precision"
+
+    @pytest.mark.parametrize(
+        "coeffs, argv, kind",
+        [
+            (["1", "1e2000000000"], ["logderiv"], "malformed-input"),
+            (["1"] * 38, ["rescale", "--level", "300000000"], "insufficient-precision"),
+        ],
+        ids=["exponent-notation", "spread-cap"],
+    )
+    def test_outsized_input_refused_promptly(self, tmp_path, coeffs, argv, kind):
+        # In a child under a 1 GiB address-space limit and a time limit, so
+        # that building 10**2000000000 or a 300-million-entry window fails
+        # the test instead of stalling the machine.
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"level": 1, "lead": 0, "precision": len(coeffs),
+                                    "field": {"kind": "rational"}, "coeffs": coeffs}))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gmfkit.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gmfkit.cli", argv[0], "--f", str(path), *argv[1:]],
+            capture_output=True, env=env, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+        )
+        assert proc.returncode == 2, proc.stderr.decode()
+        assert json.loads(proc.stdout)["error_kind"] == kind
 
 
 class TestDecomposeVerify:
@@ -410,6 +437,23 @@ class TestCanonicalRoundTrip:
         again = jsonio.dumps(jsonio.series_to_obj(series))
         assert again == out.strip()
 
+    def test_coefficient_past_the_int_str_digit_limit(self, capsys, tmp_path):
+        # 5,000 digits each side, past CPython's default limit of 4,300
+        big = Fraction(-(7**5916), 3**10478)
+        f = QExpansion(1, -1, [1, big, 0], 2)
+        text = jsonio.dumps(jsonio.series_to_obj(f))
+        assert jsonio.series_from_obj(json.loads(text)) == f
+        path = tmp_path / "f.json"
+        path.write_text(text)
+        code, out = invoke(capsys, "pow", "--f", str(path), "--m", "1")
+        assert code == 0 and out.strip() == text
+
+    def test_digit_cap(self):
+        jsonio.parse_rational("9" * jsonio.MAX_RATIONAL_DIGITS)
+        for text in ("9" * (jsonio.MAX_RATIONAL_DIGITS + 1), "1/" + "7" * (jsonio.MAX_RATIONAL_DIGITS + 1)):
+            with pytest.raises(gmfkit.errors.MalformedInputError):
+                jsonio.parse_rational(text)
+
     def test_cyclotomic_series_roundtrip(self):
         from gmfkit.numberfield import CyclotomicElement, FieldTag
         from fractions import Fraction as F
@@ -420,6 +464,37 @@ class TestCanonicalRoundTrip:
         obj = jsonio.series_to_obj(f)
         assert jsonio.series_from_obj(obj) == f
         assert jsonio.dumps(jsonio.series_to_obj(jsonio.series_from_obj(obj))) == jsonio.dumps(obj)
+
+
+class TestPinnedOutput:
+    # SHA-256 of the stdout of decompose and certify at 240 terms, recorded
+    # before the series kernels ran on integers, so that a faster kernel
+    # keeps the emitted JSON byte-identical.  f = f1 * f0 with f1 a dense
+    # integer unit series and f0 = exp of 59/61 times the level's newform.
+    NEWFORMS = {11: ((1, 2), (11, 2)), 36: ((6, 4),)}
+    PINNED = {
+        (11, "decompose"): "2ffec8591f72f3067bbacaee9ae1ec59006d21e3329ade5117680aa64f00d15d",
+        (11, "certify"): "e22819c22aaca5f401826f09db4274dd9edf0202816694468d59e4c459a0fc9a",
+        (36, "decompose"): "cb637ce28d338394e1c6edde88fbb315dc378bb9a323248fbb13fafc47c1bd0c",
+        (36, "certify"): "32161bfca4c6872e464f111f990a24244fb2478e751879cec7e687fd4739707d",
+    }
+
+    @pytest.mark.parametrize("level, verb", sorted(PINNED))
+    def test_stdout_hash(self, capsys, tmp_path, level, verb):
+        terms = 240
+        newform = eta_quotient_expansion(EtaQuotient(self.NEWFORMS[level], level), terms)
+        f0 = exp_from_logderiv(newform.scale(Fraction(59, 61)), terms)
+        f1 = QExpansion(1, 0, [1] + [(-1) ** n * (n % 9 + 1) for n in range(1, terms)], terms)
+        f_path = tmp_path / "f.json"
+        f_path.write_text(json.dumps(jsonio.series_to_obj(f1 * f0)))
+        prefix_path = tmp_path / "prefix.json"
+        prefix_path.write_text(json.dumps([str(c) for c in f1.coeffs[:2]]))  # kappa = 1
+        argv = [verb, "--f", str(f_path), "--group", f"gamma0:{level}", "--prec", str(terms)]
+        if verb == "decompose":
+            argv += ["--prefix", str(prefix_path)]
+        code, out = invoke(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[level, verb]
 
 
 class TestClosedStdout:

@@ -1,0 +1,108 @@
+"""The integer kernels over Q against the schoolbook reference in
+``reference_kernels``: every result must be equal in coefficients, lead
+and precision."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_kernels as ref
+from gmfkit.errors import GmfError
+from gmfkit.qseries import QExpansion, _convolve, _dot_products, _kronecker, exp_from_logderiv
+
+SMALL = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 3))
+# about 3 kbit of numerator and up to 3 kbit of denominator
+TALL = st.builds(
+    lambda sign, n, d: Fraction(sign * n, d),
+    st.sampled_from([-1, 1]), st.integers(2**2800, 2**3000), st.integers(1, 2**3000),
+)
+NONZERO = st.builds(Fraction, st.integers(1, 9) | st.integers(-9, -1), st.integers(1, 7))
+
+
+@st.composite
+def series(draw, lead=st.integers(-3, 3), unit=False):
+    """A level-1 series over Q: small or tall coefficients, a leading
+    coefficient other than 1 unless ``unit``, one term in some draws, known
+    trailing zeros in others, and made sparse by q -> q^d in others."""
+    size = draw(st.sampled_from([1, 1, 2, 5, 9, 14]))
+    body = draw(st.lists(draw(st.sampled_from([SMALL, SMALL, TALL])), min_size=size - 1, max_size=size - 1))
+    first = Fraction(1) if unit else draw(NONZERO | TALL)
+    h = draw(lead)
+    f = QExpansion(1, h, [first] + body, h + size + draw(st.integers(0, 2)))
+    return f.substitute_power(draw(st.sampled_from([1, 1, 2, 3, 6])))
+
+
+RUNS = settings(max_examples=60, deadline=None)
+
+
+def outcome(kernel, *args):
+    """The kernel's result, or the type of the domain error it raised."""
+    try:
+        return kernel(*args)
+    except GmfError as exc:
+        return type(exc)
+
+
+@RUNS
+@given(series(), series())
+def test_mul(f, g):
+    assert outcome(QExpansion.__mul__, f, g) == outcome(ref.mul, f, g)
+
+
+@RUNS
+@given(series(), series(), st.none() | st.integers(-4, 30))
+def test_divide(f, g, target):
+    assert outcome(QExpansion.divide, f, g, target) == outcome(ref.divide, f, g, target)
+
+
+@RUNS
+@given(series(), st.none() | st.integers(0, 30))
+def test_inverse(f, target):
+    assert outcome(QExpansion.inverse, f, target) == outcome(ref.inverse, f, target)
+
+
+@RUNS
+@given(series(), st.integers(-3, 3))
+def test_pow(f, m):
+    assert outcome(QExpansion.__pow__, f, m) == outcome(ref.power, f, m)
+
+
+@RUNS
+@given(series())
+def test_theta_logderiv(f):
+    assert outcome(QExpansion.theta_logderiv, f) == outcome(ref.theta_logderiv, f)
+
+
+@RUNS
+@given(series(lead=st.integers(1, 3)), st.integers(1, 40))
+def test_exp_from_logderiv(g, target):
+    assert outcome(exp_from_logderiv, g, target) == outcome(ref.exp_from_logderiv, g, target)
+
+
+HEIGHTS = st.sampled_from([1, 4, 64, 3000])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), HEIGHTS, HEIGHTS, st.integers(1, 40), st.integers(1, 40))
+def test_product_methods_agree(data, ha, hb, la, lb):
+    # both product methods on every shape, whichever the cost estimate picks
+    a = data.draw(st.lists(st.integers(-(2**ha), 2**ha), min_size=la, max_size=la))
+    b = data.draw(st.lists(st.integers(-(2**hb), 2**hb), min_size=lb, max_size=lb))
+    assert_product_methods(a, b, data.draw(st.integers(max(la, lb), la + lb)))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("ha, hb, la, lb", [(1, 1, 400, 300), (64, 64, 200, 150), (1, 3000, 40, 30), (3000, 3000, 40, 30)])
+def test_product_methods_extreme_sums(ha, hb, la, lb, sign):
+    # terms of the largest magnitude, all of one sign, fill a slot the most
+    assert_product_methods([2**ha - 1] * la, [sign * (2**hb - 1)] * lb, la + lb - 1)
+
+
+def assert_product_methods(a, b, size):
+    expected = [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b)) for k in range(size)]
+    width = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + min(len(a), len(b)).bit_length() + 1
+    assert _dot_products(a, b, size) == expected
+    assert _kronecker(a, b, size, width) == expected
+    assert _convolve(a, b, size) == expected

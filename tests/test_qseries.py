@@ -12,9 +12,10 @@ from gmfkit.errors import (
     IncompatibleSeriesError,
     InvalidAutomorphismError,
     NotExponentiableError,
+    PrecisionError,
 )
 from gmfkit.numberfield import CyclotomicElement, FieldTag
-from gmfkit.qseries import QExpansion, exp_from_logderiv, first_disagreement
+from gmfkit.qseries import MAX_TERMS, QExpansion, exp_from_logderiv, first_disagreement
 
 TAG3 = FieldTag.cyclotomic(3)
 Z3 = CyclotomicElement.zeta(3)
@@ -214,6 +215,18 @@ class TestLevelChanges:
     def test_substitute_power(self, qs):
         s = qs(1, [1, 2, 3], 4).substitute_power(3)
         assert s.lead == 3 and s.coeff(6) == 2 and s.coeff(5) == 0 and s.precision == 12
+
+    def test_spread_cap(self, qs):
+        # Up to MAX_TERMS exponents to the last known one, and up to
+        # MAX_TERMS - 1 known zeros after it; sizes of 10**12 would exhaust
+        # memory if allocated, so a PrecisionError shows the early refusal.
+        assert qs(0, [1, 1]).substitute_power(MAX_TERMS - 1).precision == 2 * MAX_TERMS - 2
+        assert qs(0, [1]).rescale_level(MAX_TERMS).precision == MAX_TERMS
+        for f, c in ((qs(0, [1, 1]), MAX_TERMS), (qs(0, [1]), MAX_TERMS + 1), (qs(0, [1]), 10**12)):
+            with pytest.raises(PrecisionError):
+                f.substitute_power(c)
+            with pytest.raises(PrecisionError):
+                f.rescale_level(c)
 
 
 class TestFieldMaps:
