@@ -206,6 +206,17 @@ def working_precision(f: PGMF, precision: int) -> int:
     return precision - min(f.expansion.lead, 0)
 
 
+def basis_combination(coords, forms, level, precision) -> QExpansion:
+    """sum c_i form_i over Q at ``level``, to ``precision`` or to the lowest
+    precision of a form that enters it; a form on another level raises
+    IncompatibleSeriesError."""
+    combo = QExpansion.zero(level, precision)
+    for c, form in zip(coords, forms):
+        if c:
+            combo = combo + form.truncate(min(form.precision, precision)).scale(c)
+    return combo
+
+
 def decompose_with_prefix(
     f: PGMF, f1_prefix, basis: CuspFormBasis, target_precision: int
 ) -> CanonicalDecomposition:
@@ -236,8 +247,7 @@ def decompose_with_prefix(
     coords = fit.coords
 
     working = working_precision(f, target_precision)
-    g0 = QExpansion.zero(e.level, working)
-    for c, form in zip(coords, basis.forms):
+    for form in basis.forms:
         if form.level != e.level:
             raise IncompatibleSeriesError(
                 f"basis forms live at level {form.level}, f at level {e.level}"
@@ -246,8 +256,7 @@ def decompose_with_prefix(
             raise PrecisionError(
                 f"basis precision {form.precision} below working precision {working}"
             )
-        if c:
-            g0 = g0 + form.truncate(working).scale(c)
+    g0 = basis_combination(coords, basis.forms, e.level, working)
 
     f0 = exp_from_logderiv(g0, working)
     if f0.field != e.field:
@@ -334,13 +343,10 @@ def verify_decomposition(f: PGMF, dec: CanonicalDecomposition, basis=None):
                 }
             )
         else:
-            combo = QExpansion.zero(dec.g0.level, dec.g0.precision)
             try:
-                for c, form in zip(dec.basis_coords, basis.forms):
-                    if c:
-                        combo = combo + form.truncate(
-                            min(form.precision, dec.g0.precision)
-                        ).scale(c)
+                combo = basis_combination(
+                    dec.basis_coords, basis.forms, dec.g0.level, dec.g0.precision
+                )
                 bad = first_disagreement(combo, dec.g0)
                 checks.append(
                     {

@@ -17,7 +17,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from .errors import MalformedInputError
-from .numberfield import RATIONAL, CyclotomicElement, FieldTag, euler_phi
+from .numberfield import RATIONAL, CyclotomicElement, FieldTag
 from .qseries import QExpansion
 
 # Digits of one integer in a rational read from JSON (a cap, so that an
@@ -123,10 +123,8 @@ def element_from_obj(obj, tag: FieldTag):
         return CyclotomicElement.from_rational(tag.conductor, parse_rational(obj))
     if not isinstance(obj, list):
         raise MalformedInputError(f"bad cyclotomic coefficient {obj!r}")
-    if len(obj) != euler_phi(tag.conductor):
-        raise MalformedInputError(
-            f"expected {euler_phi(tag.conductor)} coordinates, got {len(obj)}"
-        )
+    if len(obj) != tag.degree:
+        raise MalformedInputError(f"expected {tag.degree} coordinates, got {len(obj)}")
     return CyclotomicElement(tag.conductor, [parse_rational(c) for c in obj])
 
 

@@ -9,19 +9,33 @@ basis 1, zeta_m, ..., zeta_m^(phi(m)-1), always reduced modulo the m-th
 cyclotomic polynomial, so equality and rationality tests read straight
 off the coordinates.  Elements never migrate to a smaller conductor on
 their own; a value created in Q(zeta_12) stays there even if it happens
-to lie in Q(zeta_4).
+to lie in Q(zeta_4).  Every reduction mod Phi_m (products, Galois images,
+powers of zeta, the columns of the matrix an inverse solves) is one
+division by a monic polynomial.
+
+A ``FieldTag`` names the coefficient field of a series.  Q is its degree-1
+case, with modulus Phi_1 = x - 1: the tag turns a list of elements into
+integer power-basis coordinates over one common denominator and turns
+integer slots back into elements, so the series kernels in ``qseries``
+run one integer code path over Q and over Q(zeta_m) alike.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InvalidAutomorphismError
+from .errors import InvalidAutomorphismError, MalformedInputError
+from .linalg import solve_full_column_rank
 
 Rational = Fraction
+
+# Cap on the conductor m of Q(zeta_m), checked when a FieldTag is built.
+# Kernel costs grow as powers of phi(m): the series recurrences do phi(m)^2
+# dot products per coefficient and an inverse solves a phi(m)-square system.
+MAX_CONDUCTOR = 100
 
 
 def euler_phi(m: int) -> int:
@@ -54,20 +68,31 @@ def _poly_mul(a, b):
 
 
 def _poly_divmod_monic(num, den):
-    """Divide by a monic polynomial; exact over the integers."""
-    num = list(num)
+    """(quotient, remainder) of num by a monic polynomial, the remainder
+    as exactly len(den) - 1 coefficients; exact over Z and over Q."""
     dd = len(den) - 1
+    num = list(num) + [0] * (dd - len(num))
+    fold = [(j, y) for j, y in enumerate(den[:dd]) if y]
     quot = [0] * (len(num) - dd)
     for i in range(len(num) - 1, dd - 1, -1):
         c = num[i]
-        if not c:
-            continue
-        quot[i - dd] = c
-        for j, y in enumerate(den):
-            num[i - dd + j] -= c * y
-    while len(num) > 1 and not num[-1]:
-        num.pop()
-    return quot, num
+        if c:
+            quot[i - dd] = c
+            for j, y in fold:
+                num[i - dd + j] -= c * y
+    return quot, num[:dd]
+
+
+def _integer_form(coeffs):
+    """(numerators, d) with coeffs[i] == numerators[i] / d for rationals,
+    d the lcm of their denominators."""
+    d = 1
+    for c in coeffs:
+        if d % c.denominator:
+            d = math.lcm(d, c.denominator)
+    if d == 1:
+        return [c.numerator for c in coeffs], 1
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
 @lru_cache(maxsize=None)
@@ -93,87 +118,6 @@ def cyclotomic_polynomial(m: int) -> tuple:
     return tuple(quot)
 
 
-@lru_cache(maxsize=None)
-def _zeta_power_table(m: int) -> tuple:
-    """Coordinates of zeta_m^e reduced mod Phi_m, for 0 <= e < max(m, 2*phi-1).
-
-    The range covers both products of reduced elements (degree up to
-    2*phi-2) and Galois exponent images (up to m-1).
-    """
-    phi = euler_phi(m)
-    top = cyclotomic_polynomial(m)
-    fold = tuple(-c for c in top[:phi])  # x^phi == fold, since Phi_m is monic
-    size = max(m, 2 * phi - 1)
-    table = []
-    cur = [0] * phi
-    cur[0] = 1
-    for _ in range(size):
-        table.append(tuple(cur))
-        hi = cur[phi - 1]
-        nxt = [0] + cur[: phi - 1]
-        if hi:
-            nxt = [nxt[i] + hi * fold[i] for i in range(phi)]
-        cur = nxt
-    return tuple(table)
-
-
-def _poly_degree(p):
-    for i in range(len(p) - 1, -1, -1):
-        if p[i]:
-            return i
-    return -1
-
-
-def _poly_invert_mod(a, mod):
-    """Inverse of a modulo an irreducible monic polynomial, over Q."""
-    r0 = [Fraction(c) for c in mod]
-    r1 = [Fraction(c) for c in a]
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while _poly_degree(r1) > 0:
-        d0, d1 = _poly_degree(r0), _poly_degree(r1)
-        q = [Fraction(0)] * (d0 - d1 + 1)
-        rem = list(r0)
-        lead = r1[d1]
-        for i in range(d0, d1 - 1, -1):
-            c = rem[i] / lead
-            if not c:
-                continue
-            q[i - d1] = c
-            for j in range(d1 + 1):
-                rem[i - d1 + j] -= c * r1[j]
-        r0, r1 = r1, rem
-        qs1 = _poly_mul(q, s1)
-        news = [Fraction(0)] * max(len(s0), len(qs1))
-        for i, c in enumerate(s0):
-            news[i] += c
-        for i, c in enumerate(qs1):
-            news[i] -= c
-        s0, s1 = s1, news
-    g = r1[_poly_degree(r1)] if _poly_degree(r1) == 0 else None
-    if not g:
-        raise ArithmeticError("element shares a factor with the (irreducible) modulus")
-    inv = [c / g for c in s1]
-    _, inv = _poly_divmod_frac(inv, mod)
-    return inv
-
-
-def _poly_divmod_frac(num, den):
-    num = [Fraction(c) for c in num]
-    dd = _poly_degree(den)
-    lead = Fraction(den[dd])
-    quot = [Fraction(0)] * max(len(num) - dd, 1)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i] / lead
-        if not c:
-            continue
-        quot[i - dd] = c
-        for j in range(dd + 1):
-            num[i - dd + j] -= c * den[j]
-    while len(num) > 1 and not num[-1]:
-        num.pop()
-    return quot, num
-
-
 class CyclotomicElement:
     """An element of Q(zeta_m), reduced mod Phi_m in the power basis."""
 
@@ -196,8 +140,8 @@ class CyclotomicElement:
     @classmethod
     def zeta(cls, conductor: int, power: int = 1) -> "CyclotomicElement":
         """zeta_m^power as a reduced element."""
-        table = _zeta_power_table(conductor)
-        return cls(conductor, table[power % conductor])
+        monomial = [0] * (power % conductor) + [1]
+        return cls(conductor, _poly_divmod_monic(monomial, cyclotomic_polynomial(conductor))[1])
 
     def _coerce(self, other):
         if isinstance(other, CyclotomicElement):
@@ -239,30 +183,25 @@ class CyclotomicElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n = len(self.coords)
-        prod = [Fraction(0)] * (2 * n - 1)
-        for i, a in enumerate(self.coords):
-            if not a:
-                continue
-            for j, b in enumerate(other.coords):
-                if b:
-                    prod[i + j] += a * b
-        out = list(prod[:n])
-        table = _zeta_power_table(self.conductor)
-        for e in range(n, 2 * n - 1):
-            c = prod[e]
-            if c:
-                row = table[e]
-                out = [out[i] + c * row[i] for i in range(n)]
-        return CyclotomicElement(self.conductor, out)
+        a, da = _integer_form(self.coords)
+        b, db = _integer_form(other.coords)
+        prod = _poly_divmod_monic(_poly_mul(a, b), cyclotomic_polynomial(self.conductor))[1]
+        den = da * db
+        return CyclotomicElement(self.conductor, [Fraction(c, den) for c in prod])
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicElement":
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        inv = _poly_invert_mod(self.coords, cyclotomic_polynomial(self.conductor))
-        return CyclotomicElement(self.conductor, inv)
+        # solve self * y = 1, column i of the matrix being self * zeta^i
+        modulus = cyclotomic_polynomial(self.conductor)
+        column, den = _integer_form(self.coords)
+        columns = [column]
+        while len(columns) < len(column):
+            columns.append(_poly_divmod_monic([0] + columns[-1], modulus)[1])
+        y, _ = solve_full_column_rank(list(zip(*columns)), [1] + [0] * (len(column) - 1))
+        return CyclotomicElement(self.conductor, [c * den for c in y])
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -296,14 +235,10 @@ class CyclotomicElement:
         m = self.conductor
         if math.gcd(k, m) != 1:
             raise InvalidAutomorphismError(f"k = {k} is not coprime to the conductor {m}")
-        table = _zeta_power_table(m)
-        out = [Fraction(0)] * len(self.coords)
+        image = [0] * m
         for i, c in enumerate(self.coords):
-            if not c:
-                continue
-            row = table[(i * k) % m]
-            out = [out[j] + c * row[j] for j in range(len(out))]
-        return CyclotomicElement(m, out)
+            image[i * k % m] = c
+        return CyclotomicElement(m, _poly_divmod_monic(image, cyclotomic_polynomial(m))[1])
 
     def conjugate(self) -> "CyclotomicElement":
         """Complex conjugation, zeta_m -> zeta_m^(-1)."""
@@ -377,14 +312,22 @@ class FieldTag:
     """Coefficient-domain marker: Q when conductor is None, else Q(zeta_m).
 
     Every series carries exactly one tag; mixing fields requires an
-    explicit promotion Q -> Q(zeta_m).
+    explicit promotion Q -> Q(zeta_m).  Q is the degree-1 field: its
+    modulus is Phi_1 = x - 1, so the coordinate helpers below serve both.
     """
 
     conductor: int | None = None
+    degree: int = field(init=False, repr=False, compare=False)
+    modulus: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.conductor is not None and self.conductor < 1:
+        m = self.conductor
+        if m is not None and m < 1:
             raise ValueError("conductor must be a positive integer")
+        if m is not None and m > MAX_CONDUCTOR:
+            raise MalformedInputError(f"conductor {m} exceeds the cap of {MAX_CONDUCTOR}")
+        object.__setattr__(self, "degree", euler_phi(m or 1))
+        object.__setattr__(self, "modulus", cyclotomic_polynomial(m or 1))
 
     @classmethod
     def cyclotomic(cls, m: int) -> "FieldTag":
@@ -407,7 +350,7 @@ class FieldTag:
         if self.conductor is None:
             if isinstance(value, CyclotomicElement):
                 raise ValueError("cyclotomic element in a rational-tagged context")
-            return Fraction(value)
+            return value if type(value) is Fraction else Fraction(value)
         if isinstance(value, CyclotomicElement):
             if value.conductor != self.conductor:
                 raise ValueError(
@@ -415,6 +358,48 @@ class FieldTag:
                 )
             return value
         return CyclotomicElement.from_rational(self.conductor, value)
+
+    # Power-basis coordinates: the only place that knows what an element
+    # looks like.  A Fraction is its own single coordinate.
+
+    def integer_coords(self, elements, stride=None):
+        """(slots, d): the coordinates of ``elements`` as integers over their
+        lcm denominator d, those of elements[i] at slots i * stride ..
+        i * stride + degree - 1 and zeros in the slots between; the stride
+        defaults to the degree."""
+        if self.conductor is None:
+            return _integer_form(elements)
+        pad = (0,) * ((stride or self.degree) - self.degree)
+        return _integer_form([x for c in elements for x in c.coords + pad])
+
+    def reduce(self, slots):
+        """Integer slots of a polynomial in zeta, reduced to ``degree``
+        coordinates mod the modulus."""
+        if len(slots) == self.degree:
+            return slots
+        return _poly_divmod_monic(slots, self.modulus)[1]
+
+    def from_coords(self, coords):
+        """The elements whose rational coordinates ``coords`` lists in turn,
+        ``degree`` of them per element."""
+        if self.conductor is None:
+            return coords
+        deg = self.degree
+        return [
+            CyclotomicElement(self.conductor, coords[i : i + deg])
+            for i in range(0, len(coords), deg)
+        ]
+
+    def elements(self, slots, den, stride):
+        """The elements held in integer ``slots`` over ``den``, element i in
+        slots i * stride .. (i + 1) * stride - 1, reduced mod the modulus."""
+        if self.conductor is None:
+            return [Fraction(c, den) for c in slots]
+        return self.from_coords([
+            Fraction(c, den)
+            for i in range(0, len(slots), stride)
+            for c in self.reduce(slots[i : i + stride])
+        ])
 
     def __repr__(self):
         if self.conductor is None:

@@ -17,17 +17,23 @@ precision):
 * ``f ** m``           relative precision M preserved, lead m h_f
 * ``f.rescale_level(L)``  exponents and P scale by L / N
 
-Kernels.  Over Q every kernel runs on integers: it writes each operand as
-integer numerators over one common denominator (the lcm of its
-denominators), does the inner sums on Python ints, and normalizes each
-output coefficient exactly once.  A product packs both operands into one
-integer (Kronecker substitution), so that CPython's Karatsuba multiply
-does the whole convolution, unless the bit heights are so lopsided that
+Kernels.  Every kernel runs on integers, over Q and over Q(zeta_m) alike:
+the field tag writes each operand's coefficients as integer power-basis
+coordinates over one common denominator (the lcm of their denominators),
+the inner sums run on Python ints, and each output coefficient is
+reduced mod Phi_m and normalized exactly once.  Q is the degree-1 case,
+where a coefficient is one coordinate and nothing is reduced.  A product
+gives each coefficient 2 phi(m) - 1 slots, room for the product of two
+elements, convolves the flattened operands once and reduces each block of
+slots mod Phi_m (Kronecker substitution in q and zeta).  The convolution
+packs both operands into one integer, so that CPython's Karatsuba
+multiply does all of it, unless the bit heights are so lopsided that
 integer dot products cost less; the choice depends only on the operands'
 lengths and bit lengths.  ``divide`` (and through it ``inverse``),
 ``theta_logderiv`` (theta f / f) and ``exp_from_logderiv`` all solve one
-online recurrence, which keeps its unknowns as integers over their running
-lcm denominator.  Over Q(zeta_m) the same sums run on field elements.
+online recurrence, which keeps each coordinate of its unknowns as an
+integer over their running lcm denominator and forms each inner sum as
+phi(m)^2 integer dot products.
 """
 
 from __future__ import annotations
@@ -152,6 +158,8 @@ class QExpansion:
     def __add__(self, other):
         self._require_compatible(other)
         precision = min(self.precision, other.precision)
+        if self.is_zero or other.is_zero:
+            return (other if self.is_zero else self).truncate(precision)
         lead = min(self.lead, other.lead)
         if lead >= precision:
             return QExpansion.zero(self.level, precision, self.field)
@@ -177,20 +185,13 @@ class QExpansion:
             return QExpansion.zero(self.level, precision, self.field)
         lead = self.lead + other.lead
         size = precision - lead
-        a, b = self.coeffs[:size], other.coeffs[:size]
-        if self.field.is_rational_field:
-            an, ad = _integer_form(a)
-            bn, bd = _integer_form(b)
-            den = ad * bd
-            out = [Fraction(c, den) for c in _convolve(an, bn, size)]
-        else:
-            out = [self.field.zero] * size
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b[: size - i]):
-                        if y:
-                            out[i + j] += x * y
-        return QExpansion(self.level, lead, out, precision, self.field)
+        field = self.field
+        # each coefficient gets room for a product of two elements
+        stride = 2 * field.degree - 1
+        an, ad = field.integer_coords(self.coeffs[:size], stride)
+        bn, bd = field.integer_coords(other.coeffs[:size], stride)
+        out = field.elements(_convolve(an, bn, size * stride), ad * bd, stride)
+        return QExpansion(self.level, lead, out, precision, field)
 
     def scale(self, scalar) -> "QExpansion":
         """Multiply every coefficient by a fixed field element."""
@@ -479,18 +480,6 @@ def first_disagreement(f: QExpansion, g: QExpansion):
 # kernels (see the module docstring)
 
 
-def _integer_form(coeffs):
-    """(numerators, d) with coeffs[i] == numerators[i] / d for Fractions,
-    d the lcm of their denominators."""
-    d = 1
-    for c in coeffs:
-        if d % c.denominator:
-            d = lcm(d, c.denominator)
-    if d == 1:
-        return [c.numerator for c in coeffs], 1
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
-
-
 def _convolve(a, b, size):
     """The first ``size`` coefficients of the product of two nonempty
     integer sequences of length at most ``size``.
@@ -560,39 +549,39 @@ def _recurrence(r, g, terms, field, by_index=False):
         x[k] = (r[k] - sum_{j>=1} g[j] x[k-j]) / (g[0] s(k)),
 
     with s(k) = max(k, 1) when ``by_index`` and s(k) = 1 otherwise.  Entries
-    of r past its end are zero; g[0] must be nonzero.  Over Q the unknowns
-    are kept as integers over their running lcm denominator.
+    of r past its end are zero; g[0] must be nonzero.  The coordinates of
+    the unknowns are kept as integers over their running lcm denominator.
     """
-    if not field.is_rational_field:
+    if not is_rational(g[0])[0]:  # a rational g[0] divides each coordinate below
         inv0 = g[0] ** -1
-        x = []
-        for k in range(terms):
-            acc = r[k] if k < len(r) else field.zero
-            for j in range(1, min(k, len(g) - 1) + 1):
-                if g[j] and x[k - j]:
-                    acc = acc - g[j] * x[k - j]
-            if by_index and k > 1:
-                acc = acc * Fraction(1, k)
-            x.append(inv0 * acc)
-        return x
-    gn, gd = _integer_form(g)
-    rn, rd = _integer_form(r)
+        r, g = [inv0 * c for c in r], [inv0 * c for c in g]
+    deg = field.degree
+    gn, gd = field.integer_coords(g)
+    rn, rd = field.integer_coords(r)
     t = gcd(gd, rd)
     gd, rd = gd // t, rd // t
-    # times gd: x[k] = (gd rn[k] / rd - sum_j gn[j] x[k-j]) / (gn[0] s(k))
-    g0, top, grev = gn[0], len(gn) - 1, gn[::-1]
-    x, nums, d = [], [], 1  # x[i] == nums[i] / d
+    # times gd: x[k] = (gd rn[k] / rd - sum_j gn[j] x[k-j]) / (gn[0] s(k)),
+    # the sum taken as one dot product per pair of coordinates (a of g, b of
+    # x) into the slot a + b of a polynomial in zeta
+    top, width, rg = len(g) - 1, 2 * deg - 1, rd * gn[0]
+    grev = [gn[a::deg][::-1] for a in range(deg)]
+    pairs = [(a, b, a + b) for a in range(deg) if any(grev[a][:top]) for b in range(deg)]
+    zeros = [0] * deg
+    coords, nums, d = [], [], 1  # coordinate b of x[i] is nums[i deg + b] / d
     for k in range(terms):
         j = min(k, top)
-        acc = -rd * sum(map(mul, nums[k - j :], grev[top - j : top]))
-        if k < len(rn) and rn[k]:
-            acc += gd * rn[k] * d
-        xk = Fraction(acc, rd * d * g0 * (k if by_index and k > 1 else 1))
-        x.append(xk)
-        q = xk.denominator
+        lo = (k - j) * deg
+        sums = [0] * width
+        for a, b, e in pairs:
+            sums[e] += sum(map(mul, nums[lo + b :: deg], grev[a][top - j : top]))
+        rk = rn[k * deg : (k + 1) * deg] or zeros
+        den = rg * d * (k if by_index and k > 1 else 1)
+        xk = [Fraction(gd * u * d - rd * v, den) for u, v in zip(rk, field.reduce(sums))]
+        coords += xk
+        q = lcm(*[c.denominator for c in xk])
         grow = q // gcd(q, d)
         if grow > 1:
             d *= grow
             nums = [v * grow for v in nums]
-        nums.append(xk.numerator * (d // q))
-    return x
+        nums += [c.numerator * (d // c.denominator) for c in xk]
+    return field.from_coords(coords)

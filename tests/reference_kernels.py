@@ -1,10 +1,11 @@
 """Schoolbook series kernels on field elements, kept as the reference the
-library's integer kernels over Q must match exactly.
+library's integer kernels over Q and Q(zeta_m) must match exactly.
 
 Each function is the coefficient loop ``gmfkit.qseries`` ran on
-``Fraction`` values before its Q kernels moved to integer numerators over
-a common denominator; precision and lead follow the contracts in the
-``qseries`` module docstring.
+``Fraction`` and ``CyclotomicElement`` values before its kernels moved to
+integer power-basis coordinates over a common denominator; the loops use
+only field operations, so they serve every coefficient field.  Precision
+and lead follow the contracts in the ``qseries`` module docstring.
 """
 
 from fractions import Fraction

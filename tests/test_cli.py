@@ -17,6 +17,7 @@ import gmfkit
 from gmfkit import jsonio
 from gmfkit.cli import run
 from gmfkit.etaforms import EtaQuotient, eta_quotient_expansion
+from gmfkit.numberfield import MAX_CONDUCTOR, euler_phi
 from gmfkit.qseries import QExpansion, exp_from_logderiv
 
 
@@ -181,6 +182,42 @@ class TestSeriesVerbs:
         )
         assert proc.returncode == 2, proc.stderr.decode()
         assert json.loads(proc.stdout)["error_kind"] == kind
+
+    # the prime conductor at or below the cap: the largest phi(m) accepted
+    WORST_CONDUCTOR = max(m for m in range(2, MAX_CONDUCTOR + 1) if euler_phi(m) == m - 1)
+
+    @pytest.mark.parametrize(
+        "field, argv, dense, code",
+        [
+            ({"kind": "rational"}, ["logderiv", "--field", f"cyclotomic:{MAX_CONDUCTOR}"], False, 0),
+            ({"kind": "rational"}, ["logderiv", "--field", f"cyclotomic:{MAX_CONDUCTOR + 1}"], False, 2),
+            ({"kind": "rational"}, ["logderiv", "--field", "cyclotomic:20011"], False, 2),
+            ({"kind": "cyclotomic", "conductor": MAX_CONDUCTOR}, ["logderiv"], False, 0),
+            ({"kind": "cyclotomic", "conductor": MAX_CONDUCTOR + 1}, ["logderiv"], False, 2),
+            ({"kind": "cyclotomic", "conductor": 10**30}, ["galois-norm"], False, 2),
+            ({"kind": "cyclotomic", "conductor": WORST_CONDUCTOR}, ["inv"], True, 0),
+        ],
+        ids=["flag-at-cap", "flag-past-cap", "flag-20011", "json-at-cap", "json-past-cap",
+             "json-huge", "dense-inverse-below-cap"],
+    )
+    def test_conductor_cap(self, tmp_path, field, argv, dense, code):
+        # 1 + q + q^2, or with a dense non-unit lead over Q(zeta_m) (the
+        # costliest inverse), in a child under the limits used above
+        coeffs = ["1", "1", "1"]
+        if dense:
+            coeffs[0] = [str(i % 7 + 1) for i in range(euler_phi(field["conductor"]))]
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"level": 1, "lead": 0, "precision": 3, "field": field,
+                                    "coeffs": coeffs}))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gmfkit.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gmfkit.cli", argv[0], "--f", str(path), *argv[1:]],
+            capture_output=True, env=env, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+        )
+        assert proc.returncode == code, proc.stderr.decode()
+        if code == 2:
+            assert json.loads(proc.stdout)["error_kind"] == "malformed-input"
 
 
 class TestDecomposeVerify:
@@ -543,7 +580,7 @@ FIELDS = st.sampled_from([
     {"kind": "rational"},
     {"kind": "cyclotomic", "conductor": 3},
     {"kind": "cyclotomic", "conductor": 4},
-])
+]) | st.integers(1, 10**6).map(lambda m: {"kind": "cyclotomic", "conductor": m})
 
 
 @st.composite

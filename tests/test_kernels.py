@@ -1,6 +1,6 @@
-"""The integer kernels over Q against the schoolbook reference in
-``reference_kernels``: every result must be equal in coefficients, lead
-and precision."""
+"""The integer kernels over Q and Q(zeta_m) against the schoolbook
+reference in ``reference_kernels``: every result must be equal in
+coefficients, lead and precision."""
 
 from fractions import Fraction
 
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import reference_kernels as ref
 from gmfkit.errors import GmfError
+from gmfkit.numberfield import CyclotomicElement, FieldTag
 from gmfkit.qseries import QExpansion, _convolve, _dot_products, _kronecker, exp_from_logderiv
 
 SMALL = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 3))
@@ -19,18 +20,36 @@ TALL = st.builds(
     st.sampled_from([-1, 1]), st.integers(2**2800, 2**3000), st.integers(1, 2**3000),
 )
 NONZERO = st.builds(Fraction, st.integers(1, 9) | st.integers(-9, -1), st.integers(1, 7))
+# Q in half the draws; all series of one example share the field
+FIELD = st.shared(st.sampled_from([None, None, None, None, 3, 4, 5, 8, 12]).map(FieldTag), key="field")
+
+
+def element(draw, field, first, rest):
+    """A field element whose first power-basis coordinate is drawn from
+    ``first`` and the others from ``rest``."""
+    if field.conductor is None:
+        return draw(first)
+    others = draw(st.lists(rest, min_size=field.degree - 1, max_size=field.degree - 1))
+    return CyclotomicElement(field.conductor, [draw(first)] + others)
 
 
 @st.composite
 def series(draw, lead=st.integers(-3, 3), unit=False):
-    """A level-1 series over Q: small or tall coefficients, a leading
-    coefficient other than 1 unless ``unit``, one term in some draws, known
-    trailing zeros in others, and made sparse by q -> q^d in others."""
+    """A level-1 series over Q or Q(zeta_m): small or tall coordinates, a
+    leading coefficient other than 1 unless ``unit``, one term in some
+    draws, known trailing zeros in others, and made sparse by q -> q^d in
+    others."""
+    field = draw(FIELD)
     size = draw(st.sampled_from([1, 1, 2, 5, 9, 14]))
-    body = draw(st.lists(draw(st.sampled_from([SMALL, SMALL, TALL])), min_size=size - 1, max_size=size - 1))
-    first = Fraction(1) if unit else draw(NONZERO | TALL)
+    height = draw(st.sampled_from([SMALL, SMALL, TALL]))
+    body = [element(draw, field, height, height) for _ in range(size - 1)]
+    # tall coordinates enter over Q(zeta_m) through the body only: dividing
+    # by a tall lead adds the height of its norm per term (400 kbit within 6
+    # terms at m = 12), and the reference loops then take tens of seconds
+    lead_height = NONZERO | TALL if field.conductor is None else NONZERO
+    first = field.one if unit else element(draw, field, lead_height, SMALL)
     h = draw(lead)
-    f = QExpansion(1, h, [first] + body, h + size + draw(st.integers(0, 2)))
+    f = QExpansion(1, h, [first] + body, h + size + draw(st.integers(0, 2)), field)
     return f.substitute_power(draw(st.sampled_from([1, 1, 2, 3, 6])))
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmfkit.errors import InvalidAutomorphismError
+from gmfkit.errors import InvalidAutomorphismError, MalformedInputError
 from gmfkit.numberfield import (
+    MAX_CONDUCTOR,
     RATIONAL,
     CyclotomicElement,
     FieldTag,
@@ -208,6 +210,38 @@ def test_inverse_roundtrip_q_zeta8(a):
         assert a.inverse().inverse() == a
 
 
+MORE_CONDUCTORS = [1, 2, 5, 7, 9, 15, 16, 20]
+
+
+@pytest.mark.parametrize("m", MORE_CONDUCTORS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_field_axioms_more_conductors(m, data):
+    a, b, c = (data.draw(elements(m)) for _ in range(3))
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    if a:
+        assert a * a.inverse() == 1
+        assert a.inverse().inverse() == a
+
+
+@pytest.mark.parametrize("m", MORE_CONDUCTORS + [3, 4, 8, 12])
+def test_zeta_has_order_m(m):
+    z = CyclotomicElement.zeta(m)
+    assert z ** m == 1
+    assert all(z ** e != 1 for e in range(1, m))
+    assert CyclotomicElement.zeta(m, m) == 1 and CyclotomicElement.zeta(m, -1) == z ** (m - 1)
+
+
+@pytest.mark.parametrize("m", MORE_CONDUCTORS + [3, 4, 8, 12])
+def test_zeta_power_is_galois_image(m):
+    z = CyclotomicElement.zeta(m)
+    for k in range(1, 2 * m + 1):
+        if math.gcd(k, m) == 1:
+            assert CyclotomicElement.zeta(m, k) == z.galois(k) == z ** k
+
+
 def test_field_tag_coercion():
     tag = FieldTag.cyclotomic(4)
     assert tag.coerce(3) == CyclotomicElement.from_rational(4, 3)
@@ -217,6 +251,22 @@ def test_field_tag_coercion():
     with pytest.raises(ValueError):
         tag.coerce(CyclotomicElement.zeta(3))
     assert RATIONAL.is_rational_field and not tag.is_rational_field
+
+
+def test_field_tag_degree_and_modulus():
+    assert (RATIONAL.degree, RATIONAL.modulus) == (1, (-1, 1))
+    for m in (1, 2, 5, 12, 20):
+        tag = FieldTag.cyclotomic(m)
+        assert tag.degree == euler_phi(m)
+        assert tag.modulus == cyclotomic_polynomial(m)
+    assert FieldTag.cyclotomic(12) == FieldTag(12) and hash(FieldTag(12)) == hash(FieldTag(12))
+
+
+def test_conductor_cap():
+    assert FieldTag.cyclotomic(MAX_CONDUCTOR).degree == euler_phi(MAX_CONDUCTOR)
+    for m in (MAX_CONDUCTOR + 1, 10**6, 10**100):
+        with pytest.raises(MalformedInputError):
+            FieldTag.cyclotomic(m)
 
 
 def test_rational_valued_element_hashes_as_its_rational():

@@ -36,6 +36,13 @@ class TestAdd:
         f = qs(1, [1, 2, 3], 5)
         assert f + QExpansion.zero(1, 5) == f
 
+    @pytest.mark.parametrize("zero_precision", [1, 2, 3, 5, 7])
+    def test_zero_operand_gives_min_precision(self, qs, zero_precision):
+        f = qs(2, [1, 2, 3], 5)
+        z = QExpansion.zero(1, zero_precision)
+        expected = f.truncate(min(5, zero_precision))
+        assert f + z == expected and z + f == expected and z + z == z
+
     def test_cancellation_renormalizes_lead(self, qs):
         s = qs(1, [1, -1], 3) + qs(2, [1], 3)
         assert s.lead == 1 and s.coeff(1) == 1 and s.coeff(2) == 0
