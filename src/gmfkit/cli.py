@@ -16,7 +16,6 @@ from .errors import GmfError, MalformedInputError, NoBasisAvailableError
 from .etaforms import EtaQuotient, eta_quotient_expansion, load_basis, validate_basis
 from .gmfcore import (
     PGMF,
-    all_checks_passed,
     certificate_to_obj,
     decompose_with_prefix,
     decomposition_from_obj,
@@ -95,9 +94,7 @@ def cmd_eta_expand(args):
     quotient = EtaQuotient.parse(args.quotient, args.ambient)
     series = eta_quotient_expansion(quotient, args.prec)
     if args.field is not None:
-        target = _parse_field(args.field)
-        if not target.is_rational_field:
-            series = series.promote(target)
+        series = series.promote(_parse_field(args.field))
     return jsonio.series_to_obj(series)
 
 
@@ -179,7 +176,7 @@ def cmd_verify(args):
         except NoBasisAvailableError:
             basis = None  # fit check reports itself as skipped
     checks = verify_decomposition(f, dec, basis)
-    return {"checks": checks, "all_passed": all_checks_passed(checks)}
+    return {"checks": checks, "all_passed": jsonio.all_checks_passed(checks)}
 
 
 def cmd_galois_norm(args):
@@ -211,7 +208,7 @@ def cmd_validate_basis(args):
         "group": args.group,
         "dimension": basis.dimension,
         "checks": checks,
-        "all_passed": all_checks_passed(checks),
+        "all_passed": jsonio.all_checks_passed(checks),
     }
 
 

@@ -266,62 +266,37 @@ def _basis_from_file(group: GroupDescriptor, precision: int, path) -> CuspFormBa
 
 def validate_basis(basis: CuspFormBasis):
     """Diagnostic checks; returns one entry per check, never raises."""
-    checks = []
     forms = basis.forms
     d = len(forms)
-
     rational = all(f.field.is_rational_field for f in forms)
-    checks.append(
-        {
-            "check": "rational-coefficients",
-            "passed": rational,
-            "detail": None if rational else "a form carries a cyclotomic field tag",
-        }
-    )
-
     leads_ok = all((not f.is_zero) and f.lead >= 1 for f in forms)
-    checks.append(
-        {
-            "check": "positive-lead",
-            "passed": leads_ok,
-            "detail": None if leads_ok else "a form is zero or has lead < 1",
-        }
-    )
-
-    levels_ok = len({f.level for f in forms}) <= 1
-    checks.append(
-        {
-            "check": "uniform-level",
-            "passed": levels_ok,
-            "detail": None if levels_ok else "forms use different levels",
-        }
-    )
-
     kap = kappa(basis.group)
-    bound_ok = d <= max(kap, 0)
-    checks.append(
-        {
-            "check": "dimension-bound",
-            "passed": bound_ok,
-            "detail": f"dimension {d}, kappa {kap}",
-        }
-    )
+    rows = max(kap, 0)
+    bound = f"dimension {d}, kappa {kap}"
+    checks = [
+        jsonio.check_entry("rational-coefficients", rational, "a form carries a cyclotomic field tag"),
+        jsonio.check_entry("positive-lead", leads_ok, "a form is zero or has lead < 1"),
+        jsonio.check_entry(
+            "uniform-level", len({f.level for f in forms}) <= 1, "forms use different levels"
+        ),
+        jsonio.check_entry("dimension-bound", d <= rows, bound, bound),
+    ]
 
     rank_ok = True
-    detail = f"rank of the {max(kap, 0)}x{d} leading-coefficient matrix"
+    detail = f"rank of the {rows}x{d} leading-coefficient matrix"
     if d > 0:
         if not rational or not leads_ok:
             rank_ok = False
             detail = "skipped: prior checks failed"
         else:
             try:
-                matrix = [[f.coeff(nn) for f in forms] for nn in range(1, max(kap, 0) + 1)]
+                matrix = [[f.coeff(nn) for f in forms] for nn in range(1, rows + 1)]
             except PrecisionError:
                 rank_ok = False
-                detail = f"forms too short to read {max(kap, 0)} leading coefficients"
+                detail = f"forms too short to read {rows} leading coefficients"
             else:
                 r = rank(matrix)
                 rank_ok = r == d
-                detail = f"rank {r} of the {max(kap, 0)}x{d} matrix, dimension {d}"
-    checks.append({"check": "leading-rank", "passed": rank_ok, "detail": detail})
+                detail = f"rank {r} of the {rows}x{d} matrix, dimension {d}"
+    checks.append(jsonio.check_entry("leading-rank", rank_ok, detail, detail))
     return checks

@@ -37,7 +37,8 @@ from .errors import (
     UnsupportedGroupError,
 )
 from .etaforms import CuspFormBasis
-from .jsonio import format_rational, parse_rational, series_from_obj, series_to_obj
+from .jsonio import all_checks_passed  # noqa: F401  (re-exported)
+from .jsonio import check_entry, format_rational, parse_rational, series_from_obj, series_to_obj
 from .linalg import solve_full_column_rank
 from .numberfield import CyclotomicElement, FieldTag, denominator_primes, is_rational
 from .qseries import QExpansion, exp_from_logderiv, first_disagreement
@@ -258,9 +259,7 @@ def decompose_with_prefix(
             )
     g0 = basis_combination(coords, basis.forms, e.level, working)
 
-    f0 = exp_from_logderiv(g0, working)
-    if f0.field != e.field:
-        f0 = f0.promote(e.field)
+    f0 = exp_from_logderiv(g0, working).promote(e.field)
     f1 = e.divide(f0, target_precision)
     return CanonicalDecomposition(
         f1=PGMF(f1, f.group),
@@ -275,93 +274,59 @@ def verify_decomposition(f: PGMF, dec: CanonicalDecomposition, basis=None):
 
     Checks the product f1 * f0 against f, the logarithmic derivative of
     f0 against g0, and (when a basis is supplied) g0 against the fitted
-    basis combination.  Each entry reports the first discrepant exponent.
+    basis combination.  A failed comparison reports the first exponent
+    where the two sides differ.
     """
-    checks = []
     e = f.expansion
     f1 = dec.f1.expansion
     f0 = dec.f0.expansion
 
-    ok = (not f0.is_zero) and f0.lead == 0 and f0.coeffs[0] == f0.field.one
-    checks.append(
-        {
-            "check": "f0-unit",
-            "passed": ok,
-            "detail": None if ok else "f0 does not start with constant term 1",
-        }
-    )
-
-    ok = (not f1.is_zero) and f1.lead == e.lead and f1.coeffs[0] == f1.field.one
-    checks.append(
-        {
-            "check": "f1-normalized",
-            "passed": ok,
-            "detail": None if ok else "f1 is not normalized at the lead of f",
-        }
-    )
-
-    try:
-        product = f1 * f0
-        bad = first_disagreement(product, e)
-    except IncompatibleSeriesError as exc:
-        product, bad = None, None
-        checks.append({"check": "product", "passed": False, "detail": str(exc)})
-    else:
-        checks.append(
-            {
-                "check": "product",
-                "passed": bad is None,
-                "detail": None if bad is None else f"first discrepant exponent {bad}",
-            }
-        )
-
-    try:
+    def logderiv_pair():
         logd = f0.theta_logderiv()
-        g0 = dec.g0 if dec.g0.field == logd.field else dec.g0.promote(logd.field)
-        bad = first_disagreement(logd, g0)
-        checks.append(
-            {
-                "check": "logderiv",
-                "passed": bad is None,
-                "detail": None if bad is None else f"first discrepant exponent {bad}",
-            }
-        )
-    except (IncompatibleSeriesError, NotNormalizedError) as exc:
-        checks.append({"check": "logderiv", "passed": False, "detail": str(exc)})
+        return logd, dec.g0.promote(logd.field)
 
+    def fit_pair():
+        g0 = dec.g0
+        return basis_combination(dec.basis_coords, basis.forms, g0.level, g0.precision), g0
+
+    checks = [
+        check_entry(
+            "f0-unit",
+            (not f0.is_zero) and f0.lead == 0 and f0.coeffs[0] == f0.field.one,
+            "f0 does not start with constant term 1",
+        ),
+        check_entry(
+            "f1-normalized",
+            (not f1.is_zero) and f1.lead == e.lead and f1.coeffs[0] == f1.field.one,
+            "f1 is not normalized at the lead of f",
+        ),
+        _agreement_check("product", lambda: (f1 * f0, e), IncompatibleSeriesError),
+        _agreement_check(
+            "logderiv", logderiv_pair, (IncompatibleSeriesError, NotNormalizedError)
+        ),
+    ]
     if basis is None:
-        checks.append(
-            {"check": "basis-fit", "passed": None, "detail": "skipped: no basis supplied"}
-        )
+        checks.append(check_entry("basis-fit", None, "skipped: no basis supplied"))
+    elif len(dec.basis_coords) != basis.dimension:
+        checks.append(check_entry(
+            "basis-fit", False,
+            f"{len(dec.basis_coords)} coordinates for dimension {basis.dimension}",
+        ))
     else:
-        if len(dec.basis_coords) != basis.dimension:
-            checks.append(
-                {
-                    "check": "basis-fit",
-                    "passed": False,
-                    "detail": f"{len(dec.basis_coords)} coordinates for dimension {basis.dimension}",
-                }
-            )
-        else:
-            try:
-                combo = basis_combination(
-                    dec.basis_coords, basis.forms, dec.g0.level, dec.g0.precision
-                )
-                bad = first_disagreement(combo, dec.g0)
-                checks.append(
-                    {
-                        "check": "basis-fit",
-                        "passed": bad is None,
-                        "detail": None if bad is None else f"first discrepant exponent {bad}",
-                    }
-                )
-            except (IncompatibleSeriesError, PrecisionError) as exc:
-                checks.append({"check": "basis-fit", "passed": False, "detail": str(exc)})
+        checks.append(
+            _agreement_check("basis-fit", fit_pair, (IncompatibleSeriesError, PrecisionError))
+        )
     return checks
 
 
-def all_checks_passed(report) -> bool:
-    return all(entry["passed"] is not False for entry in report)
+def _agreement_check(name, build_pair, errors) -> dict:
+    """The check that the two series ``build_pair()`` returns agree; an
+    exception of the types ``errors`` fails it with its message."""
+    try:
+        bad = first_disagreement(*build_pair())
+    except errors as exc:
+        return check_entry(name, False, str(exc))
+    return check_entry(name, bad is None, f"first discrepant exponent {bad}")
 
 
 def self_prefix(f: PGMF, kap: int):
@@ -470,15 +435,9 @@ def denominator_prime_report(f: PGMF) -> DenominatorReport:
     denominators are reported instead, flagged as such.
     """
     e = f.expansion
-    primes = set()
-    if e.field.is_rational_field:
-        for c in e.coeffs:
-            primes |= denominator_primes(c)
-        return DenominatorReport(frozenset(primes), False)
-    for c in e.coeffs:
-        for coord in c.coords:
-            primes |= denominator_primes(coord)
-    return DenominatorReport(frozenset(primes), True)
+    rational = e.field.is_rational_field
+    coords = e.coeffs if rational else [x for c in e.coeffs for x in c.coords]
+    return DenominatorReport(frozenset().union(*map(denominator_primes, coords)), not rational)
 
 
 # ----------------------------------------------------------------------

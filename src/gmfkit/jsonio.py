@@ -156,6 +156,16 @@ def series_from_obj(obj) -> QExpansion:
     return QExpansion(level, lead, coeffs, precision, tag)
 
 
+def check_entry(name: str, passed, failure: str, success: str | None = None) -> dict:
+    """One entry of a check report: ``passed`` is True, False or None
+    (skipped), and the detail is ``failure`` unless the check passed."""
+    return {"check": name, "passed": passed, "detail": success if passed else failure}
+
+
+def all_checks_passed(report) -> bool:
+    return all(entry["passed"] is not False for entry in report)
+
+
 def prefix_from_obj(obj, tag: FieldTag):
     if isinstance(obj, dict) and "prefix" in obj:
         obj = obj["prefix"]

@@ -25,11 +25,12 @@ reduced mod Phi_m and normalized exactly once.  Q is the degree-1 case,
 where a coefficient is one coordinate and nothing is reduced.  A product
 gives each coefficient 2 phi(m) - 1 slots, room for the product of two
 elements, convolves the flattened operands once and reduces each block of
-slots mod Phi_m (Kronecker substitution in q and zeta).  The convolution
-packs both operands into one integer, so that CPython's Karatsuba
-multiply does all of it, unless the bit heights are so lopsided that
-integer dot products cost less; the choice depends only on the operands'
-lengths and bit lengths.  ``divide`` (and through it ``inverse``),
+slots mod Phi_m (Kronecker substitution in q and zeta).  The convolution,
+``numberfield._convolve`` (which multiplies field elements too), packs
+both operands into one integer, so that CPython's Karatsuba multiply does
+all of it, unless the bit heights are so lopsided that integer dot
+products cost less; the choice depends only on the operands' lengths and
+bit lengths.  ``divide`` (and through it ``inverse``),
 ``theta_logderiv`` (theta f / f) and ``exp_from_logderiv`` all solve one
 online recurrence, which keeps each coordinate of its unknowns as an
 integer over their running lcm denominator and forms each inner sum as
@@ -50,7 +51,8 @@ from .errors import (
     NotRationalError,
     PrecisionError,
 )
-from .numberfield import RATIONAL, FieldTag, conjugate, galois_apply, is_rational
+from .numberfield import RATIONAL, FieldTag, _convolve, galois_apply, is_rational
+from .numberfield import _dot_products, _kronecker  # noqa: F401  (for the kernel tests)
 
 # Cap on the exponent window a spread (rescale_level, substitute_power) may
 # allocate, and on what an eta expansion may be asked for (etaforms).  It
@@ -163,11 +165,7 @@ class QExpansion:
         lead = min(self.lead, other.lead)
         if lead >= precision:
             return QExpansion.zero(self.level, precision, self.field)
-        out = []
-        for n in range(lead, precision):
-            a = self.coeffs[n - self.lead] if self.lead <= n else self.field.zero
-            b = other.coeffs[n - other.lead] if other.lead <= n else other.field.zero
-            out.append(a + b)
+        out = [self.coeff(n) + other.coeff(n) for n in range(lead, precision)]
         return QExpansion(self.level, lead, out, precision, self.field)
 
     def __neg__(self):
@@ -365,15 +363,7 @@ class QExpansion:
 
     def conjugate_coeffs(self) -> "QExpansion":
         """Complex-conjugate every coefficient (zeta -> zeta^(-1))."""
-        if self.field.is_rational_field:
-            return self
-        return QExpansion(
-            self.level,
-            self.lead,
-            [conjugate(c) for c in self.coeffs],
-            self.precision,
-            self.field,
-        )
+        return self.galois_map((self.field.conductor or 1) - 1)
 
     def promote(self, field: FieldTag) -> "QExpansion":
         """Embed a rational-tagged series into Q(zeta_m)."""
@@ -468,79 +458,11 @@ def first_disagreement(f: QExpansion, g: QExpansion):
     f._require_compatible(g)
     stop = min(f.precision, g.precision)
     start = min(f.lead, g.lead)
-    for n in range(start, stop):
-        a = f.coeffs[n - f.lead] if f.lead <= n else f.field.zero
-        b = g.coeffs[n - g.lead] if g.lead <= n else g.field.zero
-        if a != b:
-            return n
-    return None
+    return next((n for n in range(start, stop) if f.coeff(n) != g.coeff(n)), None)
 
 
 # ----------------------------------------------------------------------
-# kernels (see the module docstring)
-
-
-def _convolve(a, b, size):
-    """The first ``size`` coefficients of the product of two nonempty
-    integer sequences of length at most ``size``.
-
-    Packing both sides into one integer (Kronecker substitution) lets
-    CPython's Karatsuba multiply do the whole convolution, but every slot
-    is as wide as both heights together, so a short-height side pays for
-    the tall one.  Dot products pay an interpreter step per pair of terms
-    but only the product of the two heights.  The estimates below, in
-    nanoseconds on CPython 3.11 with 30-bit digits, pick the cheaper from
-    the lengths and bit heights alone.
-    """
-    ha = max(map(abs, a)).bit_length()
-    hb = max(map(abs, b)).bit_length()
-    short, long_ = sorted((len(a), len(b)))
-    # pairs (i, j) with i + j < size
-    full = max(0, min(short, size - long_ + 1))
-    pairs = full * long_ + sum(range(size - short + 1, size - full + 1))
-    dot = pairs * (30 + 0.7 * (ha // 30 + 1) * (hb // 30 + 1)) + 500 * size
-    width = ha + hb + short.bit_length() + 1
-    kronecker = 4 * ((short + long_) * width / 60) ** 1.585 + 300 * (short + long_)
-    if dot < kronecker:
-        return _dot_products(a, b, size)
-    return _kronecker(a, b, size, width)
-
-
-def _dot_products(a, b, size):
-    top = len(b) - 1
-    rb = b[::-1]
-    out = []
-    for k in range(size):
-        lo, hi = max(0, k - top), min(k + 1, len(a))
-        out.append(sum(map(mul, a[lo:hi], rb[top - k + lo : top - k + hi])))
-    return out
-
-
-def _kronecker(a, b, size, width):
-    """Truncated product by Kronecker substitution, ``width`` bits being
-    enough for any product coefficient and its sign."""
-    nbytes = (width + 7) // 8
-    mask = (1 << 8 * nbytes) - 1
-
-    def pack(xs):
-        # two's-complement slots, each negative one borrowing 1 from the next
-        raw = b"".join((x & mask).to_bytes(nbytes, "little") for x in xs)
-        borrow = bytearray(len(raw) + nbytes)
-        for i, x in enumerate(xs):
-            if x < 0:
-                borrow[(i + 1) * nbytes] = 1
-        return int.from_bytes(raw, "little") - int.from_bytes(borrow, "little")
-
-    # adding half a slot to every slot makes each slot's digit nonnegative,
-    # so the low slots read off without carries from the ones above
-    half = 1 << (8 * nbytes - 1)
-    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * size, "little")
-    low = (pack(a) * pack(b) + bias) & ((1 << 8 * nbytes * size) - 1)
-    raw = memoryview(low.to_bytes(nbytes * size, "little"))
-    return [
-        int.from_bytes(raw[k * nbytes : (k + 1) * nbytes], "little") - half
-        for k in range(size)
-    ]
+# the recurrence kernel (see the module docstring)
 
 
 def _recurrence(r, g, terms, field, by_index=False):

@@ -20,6 +20,7 @@ import threading
 from dataclasses import dataclass
 
 from .errors import BadGroupError, BadMatrixError, UnsupportedGroupError
+from .numberfield import prime_divisors
 
 GAMMA0 = "gamma0"
 GAMMA1 = "gamma1"
@@ -132,42 +133,19 @@ def contains_minus_identity(group: GroupDescriptor) -> bool:
     return group.level <= 2
 
 
-def _prime_divisors(n: int):
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def p_index(group: GroupDescriptor) -> int:
     """Index of the projective image in PSL_2(Z), by closed formula."""
     n = group.level
-    primes = _prime_divisors(n)
+    primes = prime_divisors(n)
     if group.kind == GAMMA0:
         idx = n
         for p in primes:
             idx = idx // p * (p + 1)
         return idx
-    if group.kind == GAMMA1:
-        if n <= 2:
-            return 1 if n == 1 else 3
-        idx = n * n
-        for p in primes:
-            idx = idx // (p * p) * (p * p - 1)
-        return idx // 2
-    if n <= 2:
-        return 1 if n == 1 else 6
-    idx = n ** 3
+    idx = n ** (2 if group.kind == GAMMA1 else 3)
     for p in primes:
         idx = idx // (p * p) * (p * p - 1)
-    return idx // 2
+    return idx if n <= 2 else idx // 2  # -I lies in the group only for N <= 2
 
 
 # Largest index a coset table is built for.  Gamma(N) has index ~N^3/2,
@@ -233,6 +211,11 @@ _TABLE_LOCK = threading.Lock()
 
 def coset_table(group: GroupDescriptor) -> CosetTable:
     """The cached coset table; UnsupportedGroupError above MAX_INDEX."""
+    # the index is at least the level, which bounds the factorization below
+    if group.level > MAX_INDEX:
+        raise UnsupportedGroupError(
+            f"{group} has index at least {group.level}, above the coset-table cap {MAX_INDEX}"
+        )
     index = p_index(group)
     if index > MAX_INDEX:
         raise UnsupportedGroupError(
@@ -271,7 +254,7 @@ def kappa(group: GroupDescriptor) -> int:
     """floor(index/6) + 1 - #cusps; the number of leading coefficients of
     the unitary part that pin down a canonical decomposition.  May be
     negative for some genus-zero groups; consumers clamp as needed."""
-    return p_index(group) // 6 + 1 - cusp_count(group)
+    return invariants(group).kappa
 
 
 @dataclass(frozen=True)
@@ -283,8 +266,8 @@ class SubgroupInvariants:
 
 
 def invariants(group: GroupDescriptor) -> SubgroupInvariants:
+    cusps = cusp_count(group)  # first: it refuses a group past the index cap
     idx = p_index(group)
-    cusps = cusp_count(group)
     return SubgroupInvariants(
         p_index=idx,
         cusp_count=cusps,

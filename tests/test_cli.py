@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 import gmfkit
 from gmfkit import jsonio
 from gmfkit.cli import run
-from gmfkit.etaforms import EtaQuotient, eta_quotient_expansion
-from gmfkit.numberfield import MAX_CONDUCTOR, euler_phi
+from gmfkit.etaforms import CuspFormBasis, EtaQuotient, eta_quotient_expansion, validate_basis
+from gmfkit.numberfield import MAX_CONDUCTOR, FieldTag, euler_phi
 from gmfkit.qseries import QExpansion, exp_from_logderiv
+from gmfkit.subgroup import MAX_INDEX, GroupDescriptor
 
 
 def invoke(capsys, *argv):
@@ -67,6 +68,32 @@ class TestCosetsAndCusps:
 
     def test_cusps(self, capsys):
         assert invoke_json(capsys, "cusps", "gamma0:14")["cusps"] == 4
+
+    HUGE = 10**18 + 3  # a prime, so that finding the index means factoring it
+
+    @pytest.mark.parametrize("verb", ["kappa", "cusps", "cosets"])
+    @pytest.mark.parametrize("kind", ["gamma0", "gamma1", "gamma"])
+    def test_huge_level_refused_promptly(self, tmp_path, verb, kind):
+        proc = run_child(tmp_path, [verb, f"{kind}:{self.HUGE}"])
+        assert proc.returncode == 2, proc.stderr.decode()
+        obj = json.loads(proc.stdout)
+        assert obj["error_kind"] == "unsupported-group"
+        assert obj["message"] == (
+            f"{kind}:{self.HUGE} has index at least {self.HUGE}, above the coset-table cap 100000"
+        )
+
+    def test_huge_level_basis_file_refused_promptly(self, tmp_path):
+        group = f"gamma0:{self.HUGE}"
+        form = jsonio.series_to_obj(eta_quotient_expansion(EtaQuotient(((1, 2), (11, 2)), 11), 12))
+        basis_path = tmp_path / "basis.json"
+        basis_path.write_text(json.dumps({"group": group, "forms": [form]}))
+        prefix_path = tmp_path / "prefix.json"
+        prefix_path.write_text(json.dumps(["1", "0"]))
+        proc = run_child(tmp_path, ["decompose", "--prefix", str(prefix_path), "--group", group,
+                                    "--prec", "10", "--basis", str(basis_path)],
+                         {"kind": "rational"}, ["1"] * 12)
+        assert proc.returncode == 2, proc.stderr.decode()
+        assert json.loads(proc.stdout)["error_kind"] == "unsupported-group"
 
 
 class TestEtaExpand:
@@ -218,6 +245,29 @@ class TestSeriesVerbs:
         assert proc.returncode == code, proc.stderr.decode()
         if code == 2:
             assert json.loads(proc.stdout)["error_kind"] == "malformed-input"
+
+
+    def test_tall_dense_inverse_below_cap(self, tmp_path):
+        # one coefficient, its 96 coordinates of ~300 bits: the element
+        # inverse multiplies 95 conjugates (a Gauss-Jordan solve took minutes)
+        coeffs = [[str(3**189 + i * 7**40) for i in range(euler_phi(97))]]
+        proc = run_child(tmp_path, ["inv"], {"kind": "cyclotomic", "conductor": 97}, coeffs)
+        assert proc.returncode == 0, proc.stderr.decode()
+
+
+def run_child(tmp_path, argv, field=None, coeffs=("1",)):
+    """Run the CLI in a child under a 1 GiB address-space limit and a 60 s
+    timeout, on a level-1 series file with ``coeffs`` when ``field`` is given."""
+    if field is not None:
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"level": 1, "lead": 0, "precision": len(coeffs),
+                                    "field": field, "coeffs": list(coeffs)}))
+        argv = [argv[0], "--f", str(path), *argv[1:]]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gmfkit.__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", "gmfkit.cli", *argv], capture_output=True, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+    )
 
 
 class TestDecomposeVerify:
@@ -533,6 +583,71 @@ class TestPinnedOutput:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[level, verb]
 
+    # (exit code, SHA-256 of stdout) of the check reports of verify and
+    # validate-basis, recorded before the check entries had one builder.
+    # The decomposition is that of f = g * exp(3 g), g the Gamma_0(11)
+    # newform, to 60 terms, spoiled as the case's name says.
+    PINNED_REPORTS = {
+        "verify-pass": (0, "4003e1edfdf8941f08d222ec9c6c8f0b4cf37997d85ae8df7d2085c658601a99"),
+        "verify-product-fails": (0, "c1f9fb379c64bbc76bfc949c136c0db1e0925b174e95d27ad96eb2f72248229d"),
+        "verify-coords-mismatch": (0, "07ff48389f5e10142f3968c275f665a19a7e2af4c036a022e2ed84adfbf1ec67"),
+        "verify-g0-level": (0, "7d9370aec4b8367665633ad797e33d51a1299a4147e99d8c4030f0e20e83097e"),
+        "verify-skipped": (0, "862b05c1cd550ba9f7d5d00d25d5d1e7a4a6266b2e720a22f1f855f9cee18e7f"),
+        "validate-shipped": (0, "b555fc09ca0d96dfe4b0203cb90c4145f9e13d5947731f9a8a559b2cfe39e8fd"),
+        "validate-genus-zero": (0, "7a96ea3f78bcea5a6a9cd88fb26164400a6417f74a4cc54e4578d2c633abaef9"),
+        "validate-corrupt-file": (2, "266fe23d33ee2f31dd45b2955ef246502960031934c04a2db4827ca4fec0ea3a"),
+        "validate-library": (None, "013155adb871e4bb0eba1ccf3abe7b9386d78ae0d2d481bdda68408c351f6e68"),
+    }
+
+    @staticmethod
+    def spoil(case, dec):
+        if case == "verify-product-fails":
+            dec["f1"]["coeffs"][7] = "5"
+        elif case == "verify-coords-mismatch":
+            dec["basis_coords"] = ["3", "0"]
+        elif case == "verify-g0-level":
+            dec["g0"]["level"] = 2
+
+    @pytest.mark.parametrize("case", [
+        "verify-pass", "verify-product-fails", "verify-coords-mismatch", "verify-g0-level",
+        "verify-skipped", "validate-shipped", "validate-genus-zero", "validate-corrupt-file",
+        "validate-library",
+    ])
+    def test_check_report_hash(self, capsys, tmp_path, case):
+        g = eta_quotient_expansion(EtaQuotient(((1, 2), (11, 2)), 11), 70)
+        f_path = tmp_path / "f.json"
+        f_path.write_text(json.dumps(jsonio.series_to_obj(g * exp_from_logderiv(g.truncate(66).scale(3), 66))))
+        prefix_path = tmp_path / "prefix.json"
+        prefix_path.write_text(json.dumps(["1", "-2"]))
+        dec = invoke_json(capsys, "decompose", "--f", str(f_path), "--prefix", str(prefix_path),
+                          "--group", "gamma0:11", "--prec", "60")
+        self.spoil(case, dec)
+        dec_path = tmp_path / "dec.json"
+        dec_path.write_text(json.dumps(dec))
+        basis_path = tmp_path / "basis.json"  # a form with lead 0
+        basis_path.write_text(json.dumps({"group": "gamma0:11", "forms": [dec["f0"]]}))
+        argv = {
+            "verify-skipped": ["verify", "--f", str(f_path), "--dec", str(dec_path), "--group", "gamma0:23"],
+            "validate-shipped": ["validate-basis", "--group", "gamma0:11"],
+            "validate-genus-zero": ["validate-basis", "--group", "gamma0:5"],
+            "validate-corrupt-file": ["validate-basis", "--group", "gamma0:11", "--basis", str(basis_path)],
+        }.get(case, ["verify", "--f", str(f_path), "--dec", str(dec_path), "--group", "gamma0:11",
+                     "--with-basis"])
+        if case == "validate-library":
+            # failing reports, which validate-basis refuses to print: a
+            # lead-0 form, a cyclotomic form, forms too short for kappa
+            g = jsonio.series_from_obj(dec["g0"])
+            tag = FieldTag.cyclotomic(3)
+            code, out = None, jsonio.dumps([
+                validate_basis(CuspFormBasis(GroupDescriptor.parse(group), forms))
+                for group, forms in (("gamma0:11", (g.shift(-1),)),
+                                     ("gamma0:11", (g.promote(tag), g.promote(tag).shift(1))),
+                                     ("gamma0:23", (g.truncate(3), g.rescale_level(2))))
+            ])
+        else:
+            code, out = invoke(capsys, *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == self.PINNED_REPORTS[case]
+
 
 class TestClosedStdout:
     # The reader goes away, as in `gmfkit cosets gamma0:2000 | head -2`:
@@ -634,7 +749,26 @@ VERBS = [
 ]
 
 
+GROUPS = st.builds(
+    "{}:{}".format,
+    st.sampled_from(["gamma0", "gamma1", "gamma"]),
+    # small levels, or levels past the index cap up to 10^30; levels between
+    # would only build tables of up to MAX_INDEX cosets
+    st.integers(-2, 30) | st.integers(MAX_INDEX + 1, 10**30),
+)
+
+
 class TestFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["kappa", "cusps", "cosets"]), GROUPS)
+    def test_arbitrary_group_levels(self, verb, group):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = run([verb, group])
+        assert code in (0, 2)
+        if code == 2:
+            assert json.loads(out.getvalue())["error_kind"] in ("bad-group-descriptor",
+                                                                "unsupported-group")
+
     @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.sampled_from(VERBS), SERIES_FILES, SERIES_FILES, PREFIX_FILES)
     def test_arbitrary_json_inputs(self, verb, f_obj, g_obj, prefix_obj):

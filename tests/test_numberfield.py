@@ -18,6 +18,7 @@ from gmfkit.numberfield import (
     euler_phi,
     galois_apply,
     is_rational,
+    prime_divisors,
 )
 
 
@@ -274,3 +275,36 @@ def test_rational_valued_element_hashes_as_its_rational():
     assert hash(CyclotomicElement(4, [3])) == hash(F(3)) == hash(3)
     assert len({CyclotomicElement(4, [3]), F(3)}) == 1
     assert len({CyclotomicElement.zeta(4), CyclotomicElement(4, [0, 1])}) == 1
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_inverse_round_trip_every_conductor(data):
+    # the inverse is the product of the other Galois conjugates over the norm
+    m = data.draw(st.integers(1, MAX_CONDUCTOR), label="m")
+    a = data.draw(elements(m).filter(bool), label="a")
+    assert a * a.inverse() == 1
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 12])
+def test_conjugate_is_galois_minus_one(m):
+    a = CyclotomicElement(m, [F(k + 1, k + 2) for k in range(euler_phi(m))])
+    assert a.conjugate() == a.galois(m - 1) == a.galois(-1)
+    assert conjugate(a) == a.conjugate() and conjugate(conjugate(a)) == a
+
+
+def test_prime_divisors_rebuild_n():
+    for n in list(range(1, 501)) + [3**5 * 7**3 * 101, 10**12, 1_000_003 * 999_983]:
+        primes = prime_divisors(n)
+        assert primes == sorted(set(primes))
+        rebuilt = 1
+        for p in primes:
+            assert all(p % q for q in range(2, math.isqrt(p) + 1))
+            while n % (rebuilt * p) == 0:
+                rebuilt *= p
+        assert rebuilt == n
+
+
+def test_euler_phi_counts_units():
+    for n in range(1, 501):
+        assert euler_phi(n) == sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)

@@ -21,3 +21,38 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+# each module may import only modules before it in this order; numberfield
+# comes before linalg, so that its inverse cannot go back to a linear solve
+LAYERS = ["errors", "numberfield", "linalg", "qseries", "subgroup", "jsonio", "etaforms",
+          "gmfcore", "cli"]
+
+
+def gmfkit_imports(path):
+    """The gmfkit modules a source file imports (relative or absolute)."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                found.add(node.module.split(".")[0])
+            elif node.level == 1 or node.module == "gmfkit":
+                found.update(alias.name for alias in node.names)
+            elif node.module and node.module.startswith("gmfkit."):
+                found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names if a.name.startswith("gmfkit."))
+    return found
+
+
+def test_modules_import_only_earlier_layers():
+    modules = {path.stem for path in SOURCES} - {"__init__"}
+    assert modules == set(LAYERS)
+    late = {
+        (path.stem, name)
+        for path in SOURCES
+        if path.stem != "__init__"
+        for name in gmfkit_imports(path)
+        if LAYERS.index(name) >= LAYERS.index(path.stem)
+    }
+    assert late == set()
