@@ -54,12 +54,21 @@ def _load_series(path, field_text=None):
     return series.promote(target)
 
 
+def _load_f(path, group_text):
+    """The series in ``path`` on its group; the group is parsed first."""
+    group = GroupDescriptor.parse(group_text)
+    return PGMF(_load_series(path), group)
+
+
+def _load_prefix(path, f):
+    return jsonio.prefix_from_obj(jsonio.load_json_file(path), f.expansion.field)
+
+
 def _load_f_and_basis(path, group_text, prec, basis_path):
     """The series in ``path`` on its group, and the basis sized for
     decomposing it to ``prec``."""
-    group = GroupDescriptor.parse(group_text)
-    f = PGMF(_load_series(path), group)
-    return f, load_basis(group, working_precision(f, prec), basis_path)
+    f = _load_f(path, group_text)
+    return f, load_basis(f.group, working_precision(f, prec), basis_path)
 
 
 # ----------------------------------------------------------------------
@@ -128,7 +137,7 @@ def cmd_rescale(args):
 
 def cmd_decompose(args):
     f, basis = _load_f_and_basis(args.f, args.group, args.prec, args.basis)
-    prefix = jsonio.prefix_from_obj(jsonio.load_json_file(args.prefix), f.expansion.field)
+    prefix = _load_prefix(args.prefix, f)
     dec = decompose_with_prefix(f, prefix, basis, args.prec)
     checks = verify_decomposition(f, dec, basis)
     return decomposition_to_obj(dec, checks=checks)
@@ -136,11 +145,8 @@ def cmd_decompose(args):
 
 def _certify_one(path, group_text, prec, basis_path, prefix_path):
     f, basis = _load_f_and_basis(path, group_text, prec, basis_path)
-    prefix = None
-    if prefix_path is not None:
-        prefix = jsonio.prefix_from_obj(jsonio.load_json_file(prefix_path), f.expansion.field)
-    cert = finite_order_certificate(f, basis, prec, prefix=prefix)
-    return certificate_to_obj(cert)
+    prefix = None if prefix_path is None else _load_prefix(prefix_path, f)
+    return certificate_to_obj(finite_order_certificate(f, basis, prec, prefix=prefix))
 
 
 def cmd_certify(args):
@@ -163,37 +169,28 @@ def cmd_certify(args):
 
 
 def cmd_verify(args):
-    group = GroupDescriptor.parse(args.group)
-    f = PGMF(_load_series(args.f), group)
-    dec = decomposition_from_obj(jsonio.load_json_file(args.dec), group)
-    basis = None
-    precision = max(dec.g0.precision, 2)
-    if args.basis is not None or args.with_basis:
-        basis = load_basis(group, precision, args.basis)
-    else:
-        try:
-            basis = load_basis(group, precision)
-        except NoBasisAvailableError:
-            basis = None  # fit check reports itself as skipped
+    f = _load_f(args.f, args.group)
+    dec = decomposition_from_obj(jsonio.load_json_file(args.dec), f.group)
+    try:
+        basis = load_basis(f.group, max(dec.g0.precision, 2), args.basis)
+    except NoBasisAvailableError:  # never raised for a basis file
+        if args.with_basis:
+            raise
+        basis = None  # fit check reports itself as skipped
     checks = verify_decomposition(f, dec, basis)
     return {"checks": checks, "all_passed": jsonio.all_checks_passed(checks)}
 
 
 def cmd_galois_norm(args):
-    group = GroupDescriptor.parse(args.group)
-    f = PGMF(_load_series(args.f), group)
-    return jsonio.series_to_obj(galois_norm(f).expansion)
+    return jsonio.series_to_obj(galois_norm(_load_f(args.f, args.group)).expansion)
 
 
 def cmd_k_op(args):
-    group = GroupDescriptor.parse(args.group)
-    f = PGMF(_load_series(args.f), group)
-    return jsonio.series_to_obj(k_operator(f).expansion)
+    return jsonio.series_to_obj(k_operator(_load_f(args.f, args.group)).expansion)
 
 
 def cmd_denom_primes(args):
-    group = GroupDescriptor.parse(args.group)
-    report = denominator_prime_report(PGMF(_load_series(args.f), group))
+    report = denominator_prime_report(_load_f(args.f, args.group))
     return {
         "primes": sorted(report.primes),
         "from_cyclotomic_coordinates": report.from_cyclotomic_coordinates,
@@ -215,6 +212,7 @@ def cmd_validate_basis(args):
 # ----------------------------------------------------------------------
 
 
+@functools.cache  # one parser per process, built on the first run() call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gmfkit",

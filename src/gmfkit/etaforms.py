@@ -66,17 +66,7 @@ def euler_product(terms: int) -> QExpansion:
 def eta_expansion(precision: int) -> QExpansion:
     """eta(z) at level 24: q24 * sum_k (-1)^k q24^(12 k (3k-1)), i.e.
     support on the odd squares (6k-1)^2."""
-    if precision <= 1:
-        raise PrecisionError("precision must exceed the lead exponent 1")
-    _check_precision_cap(precision)
-    nterms = (precision - 2) // 24 + 1
-    unit = euler_product(nterms)
-    coeffs = [0] * (precision - 1)
-    for j, c in enumerate(unit.coeffs):
-        e = 24 * j + 1
-        if e < precision and c:
-            coeffs[e - 1] = c
-    return QExpansion(24, 1, coeffs, precision)
+    return eta_quotient_expansion(EtaQuotient(((1, 1),), 1), precision)
 
 
 @dataclass(frozen=True)

@@ -162,6 +162,18 @@ def _times(a, b, m):
     return _poly_divmod_monic(_convolve(a, b, 2 * len(a) - 1), cyclotomic_polynomial(m))[1]
 
 
+def _power(base, e):
+    """base ** e for e >= 1 by square-and-multiply, no squaring past the top bit."""
+    result = None
+    while e:
+        if e & 1:
+            result = base if result is None else result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
+
+
 def _galois(coords, k, m):
     """Coordinates of the image of an element of Q(zeta_m) under zeta -> zeta^k."""
     image = [0] * m
@@ -303,15 +315,9 @@ class CyclotomicElement:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = CyclotomicElement.from_rational(self.conductor, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        if exponent == 0:
+            return CyclotomicElement.from_rational(self.conductor, 1)
+        return _power(self, exponent)
 
     def galois(self, k: int) -> "CyclotomicElement":
         """Image under zeta_m -> zeta_m^k; requires gcd(k, m) = 1."""

@@ -51,7 +51,7 @@ from .errors import (
     NotRationalError,
     PrecisionError,
 )
-from .numberfield import RATIONAL, FieldTag, _convolve, galois_apply, is_rational
+from .numberfield import RATIONAL, FieldTag, _convolve, _power, galois_apply, is_rational
 from .numberfield import _dot_products, _kronecker  # noqa: F401  (for the kernel tests)
 
 # Cap on the exponent window a spread (rescale_level, substitute_power) may
@@ -247,16 +247,7 @@ class QExpansion:
             return QExpansion.one(self.level, self.relative_precision, self.field)
         if m < 0:
             return self.inverse() ** (-m)
-        result = None
-        base = self
-        e = m
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, m)
 
     # ------------------------------------------------------------------
     # logarithmic derivative and friends
@@ -442,13 +433,8 @@ def exp_from_logderiv(g: QExpansion, target_precision: int) -> QExpansion:
         raise PrecisionError("target precision leaves no coefficients determined")
     field = g.field
     # with b(k) the coefficients of g, this is the recurrence for 1 - b, s(n) = n
-    one_minus_b = [field.zero] * precision
-    one_minus_b[0] = field.one
-    for i, c in enumerate(g.coeffs):
-        e = g.lead + i
-        if 1 <= e < precision:
-            one_minus_b[e] = -c
-    a = _recurrence([field.one], one_minus_b, precision, field, by_index=True)
+    one_minus_b = QExpansion.one(g.level, precision, field) - g
+    a = _recurrence([field.one], one_minus_b.coeffs, precision, field, by_index=True)
     return QExpansion(g.level, 0, a, precision, field)
 
 

@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ import gmfkit
 from gmfkit import jsonio
 from gmfkit.cli import run
 from gmfkit.etaforms import CuspFormBasis, EtaQuotient, eta_quotient_expansion, validate_basis
-from gmfkit.numberfield import MAX_CONDUCTOR, FieldTag, euler_phi
+from gmfkit.numberfield import MAX_CONDUCTOR, CyclotomicElement, FieldTag, euler_phi
 from gmfkit.qseries import QExpansion, exp_from_logderiv
 from gmfkit.subgroup import MAX_INDEX, GroupDescriptor
 
@@ -647,6 +648,95 @@ class TestPinnedOutput:
         else:
             code, out = invoke(capsys, *argv)
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == self.PINNED_REPORTS[case]
+
+    # (exit code, SHA-256 of stdout) of the verbs that load a series on a
+    # group, a prefix or a basis through the CLI's shared loaders, recorded
+    # before those loaders were shared.  Files are named relative to the
+    # working directory, so that error messages do not carry tmp_path.
+    PINNED_LOADERS = {
+        "galois-norm-q": (2, "5564389d0c0edbfb404a1aa85303c350b7b92072c507bead8df800d09359cdc8"),
+        "galois-norm-z12": (0, "5d32b37fcd92a8a3f9707dc708be96c97f03c2ee08af1b9e3e2ab7995bbf2dd3"),
+        "k-op-q": (0, "8a880c417e7fe1666706e975ad7607992b561de7b28528729245d5da63d57e6d"),
+        "k-op-z12": (0, "ebfe98fb1d0401b4ad2099c53e88ccbb66aae2ceda35a00440b13faa43b271a0"),
+        "denom-primes-q": (0, "92ef69facc1b10ed5c5f09b657a4cb9f9858bb76aa907457ed85b66c4cfac2b1"),
+        "denom-primes-z12": (0, "36d1d21095b3554cc8f215ca6775da5214981c008886f91e884be99faf39cec4"),
+        "verify-with-basis-no-basis": (2, "a1ac755db35a57614c39551a6474e77374176db5d32ef86d6650342aa4b1d644"),
+        "verify-missing-basis-file": (2, "f603d75e85e5aeb4ddc4be2b20b4dd5131eaee49bf35f6cb5160b43833e675f7"),
+        "certify-missing-prefix": (2, "f603d75e85e5aeb4ddc4be2b20b4dd5131eaee49bf35f6cb5160b43833e675f7"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED_LOADERS))
+    def test_loader_verb_hash(self, capsys, tmp_path, monkeypatch, case):
+        monkeypatch.chdir(tmp_path)
+        g = eta_quotient_expansion(EtaQuotient(((1, 2), (11, 2)), 11), 70)
+        f = g * exp_from_logderiv(g.truncate(66).scale(3), 66)
+        fq = g.truncate(30) * exp_from_logderiv(g.truncate(30).scale(Fraction(3, 7)), 30)
+        tag = FieldTag.cyclotomic(12)
+        z = CyclotomicElement.zeta(12)
+        fz = fq.promote(tag) * QExpansion(1, 0, [1, z, z**5 + Fraction(7, 3), -z / 5], 30, tag)
+        for name, series in (("f.json", f), ("q.json", fq), ("z12.json", fz)):
+            (tmp_path / name).write_text(json.dumps(jsonio.series_to_obj(series)))
+        (tmp_path / "prefix.json").write_text(json.dumps(["1", "-2"]))
+        dec = invoke_json(capsys, "decompose", "--f", "f.json", "--prefix", "prefix.json",
+                          "--group", "gamma0:11", "--prec", "60")
+        (tmp_path / "dec.json").write_text(json.dumps(dec))
+        verify = ["verify", "--f", "f.json", "--dec", "dec.json", "--group"]
+        argv = {
+            "galois-norm-q": ["galois-norm", "--f", "q.json"],
+            "galois-norm-z12": ["galois-norm", "--f", "z12.json"],
+            "k-op-q": ["k-op", "--f", "q.json", "--group", "gamma0:11"],
+            "k-op-z12": ["k-op", "--f", "z12.json", "--group", "gamma0:11"],
+            "denom-primes-q": ["denom-primes", "--f", "q.json"],
+            "denom-primes-z12": ["denom-primes", "--f", "z12.json"],
+            "verify-with-basis-no-basis": verify + ["gamma0:23", "--with-basis"],
+            "verify-missing-basis-file": verify + ["gamma0:11", "--basis", "missing.json"],
+            "certify-missing-prefix": ["certify", "--f", "f.json", "--group", "gamma0:11",
+                                       "--prec", "60", "--prefix", "missing.json"],
+        }[case]
+        code, out = invoke(capsys, *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == self.PINNED_LOADERS[case]
+
+
+class TestSharedParser:
+    def test_one_parser_per_process_never_at_import(self, tmp_path):
+        # counts top-level parsers (the verbs' subparsers have prog "gmfkit <verb>")
+        script = textwrap.dedent("""
+            import argparse, contextlib, io
+            built = []
+            init = argparse.ArgumentParser.__init__
+            def counting(self, *args, **kwargs):
+                built.append(kwargs.get("prog") == "gmfkit")
+                init(self, *args, **kwargs)
+            argparse.ArgumentParser.__init__ = counting
+            import gmfkit.cli
+            at_import = sum(built)
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes = [gmfkit.cli.run(["kappa", "gamma0:11"]), gmfkit.cli.run(["cusps", "gamma0:14"])]
+            print(at_import, sum(built), *codes)
+        """)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gmfkit.__file__)))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env,
+                              cwd=tmp_path, timeout=60)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout.decode().split() == ["0", "1", "0", "0"]
+
+    def test_output_flag_does_not_stick(self, capsys, tmp_path, f11_path):
+        target = tmp_path / "out.json"
+        assert invoke(capsys, "pow", "--f", f11_path, "--m", "1", "--output", str(target)) == (0, "")
+        written = target.read_text()
+        code, out = invoke(capsys, "pow", "--f", f11_path, "--m", "1")
+        assert code == 0 and out == written
+        assert target.read_text() == written
+
+    def test_field_flag_does_not_stick(self, capsys, f11_path):
+        promoted = invoke_json(capsys, "logderiv", "--f", f11_path, "--field", "cyclotomic:5")
+        assert promoted["field"] == {"kind": "cyclotomic", "conductor": 5}
+        assert invoke_json(capsys, "logderiv", "--f", f11_path)["field"] == {"kind": "rational"}
+
+    def test_usage_error_then_valid_call(self, capsys):
+        assert run(["kappa"]) == 1
+        capsys.readouterr()
+        assert invoke(capsys, "kappa", "gamma0:11")[0] == 0
 
 
 class TestClosedStdout:

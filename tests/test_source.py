@@ -1,9 +1,12 @@
 """Checks on the package source itself."""
 
+import argparse
 import ast
+from collections import Counter
 from pathlib import Path
 
 import gmfkit
+from gmfkit import cli
 
 SOURCES = sorted(Path(gmfkit.__file__).parent.glob("*.py"))
 
@@ -56,3 +59,12 @@ def test_modules_import_only_earlier_layers():
         if LAYERS.index(name) >= LAYERS.index(path.stem)
     }
     assert late == set()
+
+
+def test_each_verb_handler_declared_once():
+    # a cmd_* function with no subparser, or a subparser whose handler is
+    # not one, means a verb declared in one place but not the other
+    (verbs,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    handlers = Counter(p.get_default("handler") for p in verbs.choices.values())
+    commands = {value for name, value in vars(cli).items() if name.startswith("cmd_")}
+    assert handlers == Counter(commands)
