@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from . import jsonio
 from .errors import (
@@ -28,6 +29,7 @@ from .errors import (
     PrecisionError,
 )
 from .linalg import rank
+from .numberfield import _product
 from .qseries import MAX_TERMS, QExpansion
 from .subgroup import GAMMA, GAMMA0, GAMMA1, GroupDescriptor, kappa
 
@@ -146,9 +148,8 @@ def eta_quotient_expansion(eq: EtaQuotient, precision: int) -> QExpansion:
     _check_precision_cap(precision - min(lead, 0))
     rel_terms = -(-(precision - lead) // out_level)
     bucket = -(-rel_terms // 32) * 32  # quantized for factor reuse
-    unit = QExpansion.one(1, rel_terms)
-    for d, r in eq.terms:
-        unit = unit * _unit_factor(d, r, bucket).truncate(rel_terms)
+    factors = [_unit_factor(d, r, bucket).truncate(rel_terms) for d, r in eq.terms]
+    unit = _product(factors or [QExpansion.one(1, rel_terms)], mul)
     return unit.rescale_level(out_level).shift(lead).truncate(precision)
 
 
@@ -244,7 +245,7 @@ def _basis_from_file(group: GroupDescriptor, precision: int, path) -> CuspFormBa
             f"basis file is for {file_group}, requested {group}"
         )
     forms = []
-    for entry in obj["forms"]:
+    for entry in jsonio.require_json(obj["forms"], list, "basis forms must be a JSON array"):
         form = jsonio.series_from_obj(entry)
         if form.precision < precision:
             raise PrecisionError(

@@ -24,6 +24,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .errors import (
     CorruptBasisError,
@@ -38,9 +39,10 @@ from .errors import (
 )
 from .etaforms import CuspFormBasis
 from .jsonio import all_checks_passed  # noqa: F401  (re-exported)
-from .jsonio import check_entry, format_rational, parse_rational, series_from_obj, series_to_obj
+from .jsonio import check_entry, format_rational, parse_rational, require_json
+from .jsonio import series_from_obj, series_to_obj
 from .linalg import solve_full_column_rank
-from .numberfield import CyclotomicElement, FieldTag, denominator_primes, is_rational
+from .numberfield import CyclotomicElement, FieldTag, _product, denominator_primes, is_rational
 from .qseries import QExpansion, exp_from_logderiv, first_disagreement
 from .subgroup import GroupDescriptor, j_normalizes, kappa
 
@@ -398,13 +400,8 @@ def galois_norm(f: PGMF) -> PGMF:
     if e.field.is_rational_field:
         raise NotCyclotomicError("galois_norm needs a cyclotomic-tagged series")
     m = e.field.conductor
-    acc = None
-    for k in range(1, m + 1):
-        if gcd(k, m) != 1:
-            continue
-        image = e.galois_map(k)
-        acc = image if acc is None else acc * image
-    return PGMF(acc.as_rational_series(), f.group)
+    norm = _product([e.galois_map(k) for k in range(1, m + 1) if gcd(k, m) == 1], mul)
+    return PGMF(norm.as_rational_series(), f.group)
 
 
 def k_operator(f: PGMF) -> PGMF:
@@ -465,14 +462,16 @@ def decomposition_to_obj(dec: CanonicalDecomposition, checks=None) -> dict:
 
 
 def decomposition_from_obj(obj, group: GroupDescriptor) -> CanonicalDecomposition:
+    require_json(obj, dict, "decomposition must be a JSON object")
     missing = {"f1", "f0", "g0", "basis_coords"} - set(obj)
     if missing:
         raise MalformedInputError(f"decomposition object missing keys: {sorted(missing)}")
+    coords = require_json(obj["basis_coords"], list, "basis_coords must be a JSON array")
     return CanonicalDecomposition(
         f1=PGMF(series_from_obj(obj["f1"]), group),
         f0=PGMF(series_from_obj(obj["f0"]), group),
         g0=series_from_obj(obj["g0"]),
-        basis_coords=tuple(parse_rational(c) for c in obj["basis_coords"]),
+        basis_coords=tuple(parse_rational(c) for c in coords),
     )
 
 

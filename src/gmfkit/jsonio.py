@@ -138,9 +138,16 @@ def series_to_obj(f: QExpansion) -> dict:
     }
 
 
+def require_json(obj, kind, message):
+    """``obj`` if it is a JSON array (``kind`` list) or object (``kind``
+    dict), so that no string or object is read where an array belongs."""
+    if not isinstance(obj, kind):
+        raise MalformedInputError(message)
+    return obj
+
+
 def series_from_obj(obj) -> QExpansion:
-    if not isinstance(obj, dict):
-        raise MalformedInputError("series object must be a JSON object")
+    require_json(obj, dict, "series object must be a JSON object")
     missing = {"level", "lead", "precision", "field", "coeffs"} - set(obj)
     if missing:
         raise MalformedInputError(f"series object missing keys: {sorted(missing)}")
@@ -148,7 +155,8 @@ def series_from_obj(obj) -> QExpansion:
     if not all(type(v) is int for v in (level, lead, precision)):  # JSON true is not an integer
         raise MalformedInputError("level, lead and precision must be integers")
     tag = field_from_obj(obj["field"])
-    coeffs = [element_from_obj(c, tag) for c in obj["coeffs"]]
+    coeffs = require_json(obj["coeffs"], list, "series coeffs must be a JSON array")
+    coeffs = [element_from_obj(c, tag) for c in coeffs]
     if len(coeffs) != precision - lead:
         raise MalformedInputError(
             f"{len(coeffs)} coefficients do not fill the window [{lead}, {precision})"
@@ -169,6 +177,5 @@ def all_checks_passed(report) -> bool:
 def prefix_from_obj(obj, tag: FieldTag):
     if isinstance(obj, dict) and "prefix" in obj:
         obj = obj["prefix"]
-    if not isinstance(obj, list):
-        raise MalformedInputError("prefix file must hold a JSON array of coefficients")
+    require_json(obj, list, "prefix file must hold a JSON array of coefficients")
     return [element_from_obj(c, tag) for c in obj]

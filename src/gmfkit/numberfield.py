@@ -13,7 +13,8 @@ to lie in Q(zeta_4).  Every reduction mod Phi_m (products, Galois images,
 powers of zeta) is one division by a monic polynomial, and every integer
 polynomial product is one convolution, ``_convolve``, which the series
 kernels in ``qseries`` share.  An inverse is the product of the other
-Galois conjugates over the norm.
+Galois conjugates over the norm; that and every other product of many
+factors is one balanced tree, ``_product``.
 
 A ``FieldTag`` names the coefficient field of a series.  Q is its degree-1
 case, with modulus Phi_1 = x - 1: the tag turns a list of elements into
@@ -174,6 +175,15 @@ def _power(base, e):
     return result
 
 
+def _product(factors, times):
+    """The product of a non-empty list under ``times``, as a balanced tree
+    that keeps the two sides of each multiply alike in size."""
+    while len(factors) > 1:
+        pairs = zip(factors[::2], factors[1::2])
+        factors = [times(x, y) for x, y in pairs] + factors[len(factors) // 2 * 2 :]
+    return factors[0]
+
+
 def _galois(coords, k, m):
     """Coordinates of the image of an element of Q(zeta_m) under zeta -> zeta^k."""
     image = [0] * m
@@ -195,11 +205,8 @@ def cyclotomic_polynomial(m: int) -> tuple:
         return (-1, 1)
     num = [0] * (m + 1)
     num[0], num[m] = -1, 1
-    den = [1]
-    for d in range(1, m):
-        if m % d == 0:
-            phi_d = cyclotomic_polynomial(d)
-            den = _convolve(den, phi_d, len(den) + len(phi_d) - 1)
+    phis = [cyclotomic_polynomial(d) for d in range(1, m) if m % d == 0]
+    den = _product(phis, lambda a, b: _convolve(a, b, len(a) + len(b) - 1))
     quot, rem = _poly_divmod_monic(num, den)
     if any(rem):
         raise ArithmeticError("x^m - 1 not divisible by product of proper Phi_d")
@@ -284,15 +291,11 @@ class CyclotomicElement:
         the element times that product."""
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        # on integer coordinates: for self = a / d, 1 / self = d (others) / N(a);
-        # a balanced product tree keeps the two sides of each multiply alike
+        # on integer coordinates: for self = a / d, 1 / self = d (others) / N(a)
         m = self.conductor
         a, d = _integer_form(self.coords)
         factors = [_galois(a, k, m) for k in range(2, m) if math.gcd(k, m) == 1]
-        while len(factors) > 1:
-            pairs = zip(factors[::2], factors[1::2])
-            factors = [_times(x, y, m) for x, y in pairs] + factors[len(factors) // 2 * 2 :]
-        others = factors[0] if factors else [1]
+        others = _product(factors or [[1]], lambda x, y: _times(x, y, m))
         norm, *rest = _times(others, a, m)
         if any(rest):
             raise ArithmeticError(f"the norm of {self!r} is not rational")
@@ -431,8 +434,9 @@ class FieldTag:
             return value
         return CyclotomicElement.from_rational(self.conductor, value)
 
-    # Power-basis coordinates: the only place that knows what an element
-    # looks like.  A Fraction is its own single coordinate.
+    # Power-basis coordinates, for the series kernels: a Fraction is its
+    # own single coordinate.  The element class, the JSON form and the
+    # denominator-prime report read an element's coordinates as well.
 
     def integer_coords(self, elements, stride=None):
         """(slots, d): the coordinates of ``elements`` as integers over their

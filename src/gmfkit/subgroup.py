@@ -4,7 +4,8 @@ Supports Gamma_0(N), Gamma_1(N) and the principal congruence subgroup
 Gamma(N).  Cosets of the projective image P Gamma inside PSL_2(Z) are
 enumerated once per group by breadth-first search over the generators
 S = (0 -1; 1 0) and T = (1 1; 0 1); the same table serves the index, the
-cusp count (orbits of the right T-action) and representative extraction.
+cusp count (the orbits of the right T-action, counted once from the
+T-images the search computes anyway) and representative extraction.
 
 Each coset is named by a canonical key of g mod N (every kind contains
 Gamma(N), so the right coset of g depends only on g mod N).  The BFS
@@ -45,9 +46,9 @@ class GroupDescriptor:
     @classmethod
     def parse(cls, text: str) -> "GroupDescriptor":
         """Parse ``gamma0:N``, ``gamma1:N`` or ``gamma:N``."""
-        kind, sep, level = text.strip().partition(":")
-        if not sep:
+        if not isinstance(text, str) or ":" not in text:  # a basis file may say "group": 11
             raise BadGroupError(f"expected kind:level, got {text!r}")
+        kind, _, level = text.strip().partition(":")
         try:
             n = int(level)
         except ValueError:
@@ -185,24 +186,28 @@ class CosetTable:
         self.group = group
         self.reps: list[IntegerMatrix] = [IDENTITY]
         self._coset_of: dict[tuple, int] = {_coset_key(group, IDENTITY): 0}
+        t_image = []  # t_image[i]: the coset of reps[i] * T
         # reps doubles as the BFS queue: the loop reaches each new coset
         # in the order it is appended
         for g in self.reps:
             for h in (g * GEN_S, g * GEN_T):
-                key = _coset_key(group, h)
-                if key not in self._coset_of:
-                    self._coset_of[key] = len(self.reps)
+                index = self._coset_of.setdefault(_coset_key(group, h), len(self.reps))
+                if index == len(self.reps):
                     self.reps.append(h)
+            t_image.append(index)  # the last h is g * T
+        self.cusp_count = 0  # the cycles of the right T-action on the cosets
+        for start in range(len(t_image)):
+            if t_image[start] >= 0:
+                self.cusp_count += 1
+                i = start
+                while t_image[i] >= 0:
+                    t_image[i], i = -1, t_image[i]  # mark i seen, step to its T-image
 
     def __len__(self):
         return len(self.reps)
 
     def coset_index(self, mat: IntegerMatrix) -> int:
         return self._coset_of[_coset_key(self.group, mat)]
-
-    def t_action(self):
-        """Permutation induced on cosets by right multiplication by T."""
-        return [self.coset_index(rep * GEN_T) for rep in self.reps]
 
 
 _TABLE_CACHE: dict[GroupDescriptor, CosetTable] = {}
@@ -236,18 +241,7 @@ def coset_reps(group: GroupDescriptor):
 
 def cusp_count(group: GroupDescriptor) -> int:
     """Number of cusps: orbits of the right T-action on the coset space."""
-    perm = coset_table(group).t_action()
-    seen = [False] * len(perm)
-    orbits = 0
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        orbits += 1
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = perm[i]
-    return orbits
+    return coset_table(group).cusp_count
 
 
 def kappa(group: GroupDescriptor) -> int:

@@ -1,4 +1,6 @@
 import contextlib
+import copy
+import functools
 import hashlib
 import io
 import json
@@ -18,6 +20,8 @@ import gmfkit
 from gmfkit import jsonio
 from gmfkit.cli import run
 from gmfkit.etaforms import CuspFormBasis, EtaQuotient, eta_quotient_expansion, validate_basis
+from gmfkit.etaforms import shipped_levels, shipped_quotient
+from gmfkit.gmfcore import PGMF, decompose_with_prefix, decomposition_to_obj
 from gmfkit.numberfield import MAX_CONDUCTOR, CyclotomicElement, FieldTag, euler_phi
 from gmfkit.qseries import QExpansion, exp_from_logderiv
 from gmfkit.subgroup import MAX_INDEX, GroupDescriptor
@@ -554,6 +558,78 @@ class TestCanonicalRoundTrip:
         assert jsonio.dumps(jsonio.series_to_obj(jsonio.series_from_obj(obj))) == jsonio.dumps(obj)
 
 
+class TestInputShapes:
+    """A JSON value of the wrong shape is refused with exit 2, never read
+    element by element nor left to end in a traceback."""
+
+    @pytest.fixture
+    def f_dec_basis(self, capsys, tmp_path):
+        """The paths of a Gamma_0(11) series and of a prefix that fits it,
+        and its decomposition and basis as objects to spoil."""
+        g = eta_quotient_expansion(EtaQuotient(((1, 2), (11, 2)), 11), 70)
+        f_path = tmp_path / "f.json"
+        f_path.write_text(json.dumps(jsonio.series_to_obj(g * exp_from_logderiv(g.truncate(66).scale(3), 66))))
+        prefix_path = tmp_path / "prefix.json"
+        prefix_path.write_text(json.dumps(["1", "-2"]))
+        dec = invoke_json(capsys, "decompose", "--f", str(f_path), "--prefix", str(prefix_path),
+                          "--group", "gamma0:11", "--prec", "60")
+        basis = {"group": "gamma0:11", "forms": [jsonio.series_to_obj(g)]}
+        return str(f_path), str(prefix_path), dec, basis
+
+    def refused(self, capsys, argv, kind, message=None):
+        code, out = invoke(capsys, *argv)
+        error = json.loads(out)
+        assert (code, error["error_kind"]) == (2, kind), out
+        if message is not None:
+            assert error["message"] == message
+
+    def basis_argvs(self, f_path, prefix_path, basis_path):
+        return [
+            ["validate-basis", "--group", "gamma0:11", "--basis", basis_path],
+            ["decompose", "--f", f_path, "--prefix", prefix_path, "--group", "gamma0:11",
+             "--prec", "60", "--basis", basis_path],
+        ]
+
+    @pytest.mark.parametrize("group", [11, None, ["gamma0:11"], {"kind": "gamma0", "level": 11}])
+    def test_basis_group_not_a_string(self, capsys, tmp_path, f_dec_basis, group):
+        f_path, prefix_path, _, basis = f_dec_basis
+        basis_path = tmp_path / "basis.json"
+        basis_path.write_text(json.dumps(dict(basis, group=group)))
+        for argv in self.basis_argvs(f_path, prefix_path, str(basis_path)):
+            self.refused(capsys, argv, "bad-group-descriptor")
+
+    @pytest.mark.parametrize("forms", ["x", "", {}, {"a": 1}])
+    def test_basis_forms_not_an_array(self, capsys, tmp_path, f_dec_basis, forms):
+        f_path, prefix_path, _, basis = f_dec_basis
+        basis_path = tmp_path / "basis.json"
+        basis_path.write_text(json.dumps(dict(basis, forms=forms)))
+        for argv in self.basis_argvs(f_path, prefix_path, str(basis_path)):
+            self.refused(capsys, argv, "malformed-input", "basis forms must be a JSON array")
+
+    @pytest.mark.parametrize("coeffs", ["123", {"1": 0, "2": 0, "3": 0}])
+    def test_series_coeffs_not_an_array(self, capsys, tmp_path, coeffs):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"level": 1, "lead": 0, "precision": 3,
+                                    "field": {"kind": "rational"}, "coeffs": coeffs}))
+        self.refused(capsys, ["mul", "--f", str(path), "--g", str(path)], "malformed-input",
+                     "series coeffs must be a JSON array")
+
+    def test_basis_coords_not_an_array(self, capsys, tmp_path, f_dec_basis):
+        f_path, _, dec, _ = f_dec_basis
+        assert dec["basis_coords"] == ["3"]
+        dec_path = tmp_path / "dec.json"
+        dec_path.write_text(json.dumps(dict(dec, basis_coords="3")))
+        self.refused(capsys, ["verify", "--f", f_path, "--dec", str(dec_path), "--group", "gamma0:11"],
+                     "malformed-input", "basis_coords must be a JSON array")
+
+    @pytest.mark.parametrize("dec", [["f1", "f0", "g0", "basis_coords"], "f1 f0 g0 basis_coords", 3])
+    def test_decomposition_not_an_object(self, capsys, tmp_path, f_dec_basis, dec):
+        dec_path = tmp_path / "dec.json"
+        dec_path.write_text(json.dumps(dec))
+        self.refused(capsys, ["verify", "--f", f_dec_basis[0], "--dec", str(dec_path), "--group", "gamma0:11"],
+                     "malformed-input", "decomposition must be a JSON object")
+
+
 class TestPinnedOutput:
     # SHA-256 of the stdout of decompose and certify at 240 terms, recorded
     # before the series kernels ran on integers, so that a faster kernel
@@ -696,6 +772,86 @@ class TestPinnedOutput:
         code, out = invoke(capsys, *argv)
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == self.PINNED_LOADERS[case]
 
+    # (largest exit code, SHA-256 of the stdout of the calls in turn) of
+    # outputs no other test reads, recorded before the coset table counted
+    # the cusps and before one balanced product served every product of
+    # many: the prefix-inconsistent verdict with a rational and with a null
+    # residual, --field conversions, the invariants of the 134 groups of
+    # Gamma_0(N <= 60), Gamma_1(N <= 50) and Gamma(N <= 24), eta quotients,
+    # and the Galois norm and inverse over Q(zeta_31).
+    PINNED_UNREAD = {
+        "certify-rational-residual": (0, "b4436bbf6b8261b6b07a3d58200ed77693f129d3dd8471cae6acc51103ed9abd"),
+        "certify-null-residual": (0, "72762e60baff226c815fbd7afcd5a5f60f279f383405e659d3b575b1a6ee2d3f"),
+        "field-rational": (0, "23ebece9759ec0ff17e6b472a5d29bd77ad524b420fe270fc7ed8dad5b717f56"),
+        "field-rational-refused": (2, "01521df2357b61449600f230c90fede9f6cbe5530c5c5c09ba49f49a833a3d2b"),
+        "field-cyclotomic-x": (2, "35b8f112d8a18e584a7451a536c86bf6bf1e9c30aad0fa52540b6b5ca7f24ef5"),
+        "field-cyclotomic-0": (2, "08579eb6e2ec4a1470c2f88faefadeb7a53562aa16c4ad53b097b1ab6e95e517"),
+        "eta-expand-cyclotomic": (0, "4eeab9172ed847cd82d116a7d85b683eeec3cff8a79a4b9cae958e03dfdc36df"),
+        "subgroup-invariants": (0, "9c10c70d14c18f4e86bfe6af3373478ebd667cbd29d41ff30a1fc7f28da9d950"),
+        "eta-expand-quotients": (0, "37c12303301b53df77f02bcb705ed4117ed513e86d41c76bfd505dfdc121095c"),
+        "galois-norm-z31": (0, "4a183624a7759b0d95d59389a257f2dacfaeac66413c3bb333e014ae45727952"),
+        "inv-z31": (0, "e3817eb7cca6475f6acd08711c88a49a0ddc29d91aa0d7ae6230d3aeeff66c22"),
+    }
+
+    @staticmethod
+    def unread_output(case):
+        """(largest exit code, SHA-256 of stdout) of the case's calls, run in
+        the working directory, which receives the input files."""
+        f11 = eta_quotient_expansion(EtaQuotient(((1, 2), (11, 2)), 11), 40)
+        i = CyclotomicElement.zeta(4)
+        z31 = FieldTag.cyclotomic(31)
+        dense = [
+            CyclotomicElement(31, [Fraction((-1) ** j * ((n * 7 + j * 3) % 5 + 1), 1 + (n + j) % 3)
+                                   for j in range(30)])
+            for n in range(1, 6)
+        ]
+        files = {
+            "f.json": jsonio.series_to_obj(f11),
+            "z3.json": jsonio.series_to_obj(f11.promote(FieldTag.cyclotomic(3))),
+            "z4-rational.json": jsonio.series_to_obj(f11.truncate(20).promote(FieldTag.cyclotomic(4))),
+            "z4.json": jsonio.series_to_obj(
+                f11.truncate(20).promote(FieldTag.cyclotomic(4))
+                * QExpansion(1, 0, [1, i, 3 - i], 20, FieldTag.cyclotomic(4))
+            ),
+            "z31.json": jsonio.series_to_obj(QExpansion(1, 0, [1] + dense, 6, z31)),
+            "prefix.json": ["1", "5"],
+            "prefix-z3.json": ["1", ["-2", "1"]],
+        }
+        for name, obj in files.items():
+            with open(name, "w", encoding="utf-8") as handle:
+                json.dump(obj, handle)
+        groups = [f"{kind}:{n}" for kind, top in (("gamma0", 60), ("gamma1", 50), ("gamma", 24))
+                  for n in range(1, top + 1)]
+        quotients = [(str(q), str(q.ambient_level), "800") for q in map(shipped_quotient, shipped_levels())]
+        quotients += [("1^24 2^-24", "2", "160"), ("1^0", "1", "5")]
+        calls = {
+            "certify-rational-residual": [["certify", "--f", "f.json", "--group", "gamma0:13",
+                                           "--prec", "30", "--prefix", "prefix.json"]],
+            "certify-null-residual": [["certify", "--f", "z3.json", "--group", "gamma0:11",
+                                       "--prec", "30", "--prefix", "prefix-z3.json"]],
+            "field-rational": [["logderiv", "--f", "z4-rational.json", "--field", "rational"]],
+            "field-rational-refused": [["logderiv", "--f", "z4.json", "--field", "rational"]],
+            "field-cyclotomic-x": [["logderiv", "--f", "f.json", "--field", "cyclotomic:x"]],
+            "field-cyclotomic-0": [["logderiv", "--f", "f.json", "--field", "cyclotomic:0"]],
+            "eta-expand-cyclotomic": [["eta-expand", "1^2 11^2", "--prec", "30", "--field", "cyclotomic:3"]],
+            "subgroup-invariants": [[verb, group] for group in groups for verb in ("kappa", "cusps", "cosets")],
+            "eta-expand-quotients": [["eta-expand", q, "--ambient", level, "--prec", prec]
+                                     for q, level, prec in quotients],
+            "galois-norm-z31": [["galois-norm", "--f", "z31.json"]],
+            "inv-z31": [["inv", "--f", "z31.json"]],
+        }[case]
+        codes, digest = [], hashlib.sha256()
+        for argv in calls:
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                codes.append(run(argv))
+            digest.update(out.getvalue().encode())
+        return max(codes), digest.hexdigest()
+
+    @pytest.mark.parametrize("case", sorted(PINNED_UNREAD))
+    def test_unread_output_hash(self, tmp_path, monkeypatch, case):
+        monkeypatch.chdir(tmp_path)
+        assert self.unread_output(case) == self.PINNED_UNREAD[case]
+
 
 class TestSharedParser:
     def test_one_parser_per_process_never_at_import(self, tmp_path):
@@ -806,9 +962,12 @@ def near_valid_series(draw):
         "field": field,
         "coeffs": coeffs,
     }
-    spoil = draw(st.sampled_from([None, None, None, "replace", "drop", "coeff"]))
+    spoil = draw(st.sampled_from([None, None, None, "replace", "drop", "coeff", "coeffs"]))
     if spoil == "coeff" and coeffs:
         coeffs[draw(st.integers(0, size - 1))] = draw(SCALARS)
+    elif spoil == "coeffs":  # a string or an object as long as the window
+        digits = draw(st.text("0123456789", min_size=size, max_size=size))
+        obj["coeffs"] = draw(st.sampled_from([digits, {str(n): c for n, c in enumerate(coeffs)}]))
     elif spoil is not None:
         key = draw(st.sampled_from(sorted(obj)))
         if spoil == "drop":
@@ -848,6 +1007,93 @@ GROUPS = st.builds(
 )
 
 
+@functools.cache
+def gamma0_11_objects():
+    """A Gamma_0(11) series f, its basis file and its decomposition at 6
+    terms, as JSON objects; the prefix ["1", "-2"] fits f."""
+    g = eta_quotient_expansion(EtaQuotient(((1, 2), (11, 2)), 11), 14)
+    f = g * exp_from_logderiv(g.truncate(10).scale(3), 10)
+    group = GroupDescriptor.parse("gamma0:11")
+    basis = CuspFormBasis(group, (g,))
+    dec = decompose_with_prefix(PGMF(f, group), [1, -2], basis, 6)
+    return {
+        "f": jsonio.series_to_obj(f),
+        "basis": {"group": "gamma0:11", "forms": [jsonio.series_to_obj(g)]},
+        "dec": decomposition_to_obj(dec),
+    }
+
+
+def spoil_key(draw, obj, values):
+    """Drop one key of obj, or replace its value by a draw from values."""
+    key = draw(st.sampled_from(sorted(obj)))
+    if draw(st.booleans()):
+        del obj[key]
+    else:
+        obj[key] = draw(values)
+
+
+@st.composite
+def near_valid_basis(draw):
+    """The Gamma_0(11) basis file, in most draws spoiled in one place: a
+    key dropped or replaced by arbitrary JSON, another group, or the forms
+    near-valid."""
+    obj = copy.deepcopy(gamma0_11_objects()["basis"])
+    spoil = draw(st.sampled_from([None, "key", "group", "forms"]))
+    if spoil == "key":
+        spoil_key(draw, obj, ANY_JSON)
+    elif spoil == "group":
+        obj["group"] = draw(ANY_JSON | st.sampled_from(["gamma0:12", "gamma:11", " gamma0:11 "]))
+    elif spoil == "forms":
+        obj["forms"] = draw(st.lists(near_valid_series() | st.just(obj["forms"][0]), max_size=3))
+    return obj
+
+
+@st.composite
+def near_valid_decomposition(draw):
+    """The Gamma_0(11) decomposition, in most draws spoiled in one place: a
+    key dropped or replaced by arbitrary JSON, a near-valid series in place
+    of f1, f0 or g0, or other basis coordinates."""
+    obj = copy.deepcopy(gamma0_11_objects()["dec"])
+    spoil = draw(st.sampled_from([None, "key", "key", "series", "coords"]))
+    if spoil == "key":
+        spoil_key(draw, obj, ANY_JSON)
+    elif spoil == "series":
+        obj[draw(st.sampled_from(["f1", "f0", "g0"]))] = draw(near_valid_series())
+    elif spoil == "coords":
+        obj["basis_coords"] = draw(st.lists(COEFFS | SCALARS, max_size=3) | st.sampled_from(["3", "", {}]))
+    return obj
+
+
+def run_on_files(verb, objects):
+    """(exit code, stdout) of the verb with each placeholder argument that
+    names an object replaced by the path of a JSON file holding it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, obj in objects.items():
+            paths[name] = os.path.join(tmp, name + ".json")
+            with open(paths[name], "w", encoding="utf-8") as handle:
+                json.dump(obj, handle)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = run([paths.get(arg, arg) for arg in verb])
+    return code, out.getvalue()
+
+
+def assert_clean_exit(code, out):
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert "error_kind" in json.loads(out)
+
+
+F11_FILES = st.one_of(st.deferred(lambda: st.just(gamma0_11_objects()["f"])), near_valid_series())
+BASIS_FILES = st.one_of(near_valid_basis(), near_valid_basis(), ANY_JSON)
+DEC_FILES = st.one_of(near_valid_decomposition(), near_valid_decomposition(), ANY_JSON)
+BASIS_VERBS = [
+    ["validate-basis", "--group", "gamma0:11", "--prec", "6", "--basis", "B"],
+    ["decompose", "--f", "F", "--prefix", "P", *GROUP, "--basis", "B"],
+    ["certify", "--f", "F", *GROUP, "--basis", "B"],
+]
+
+
 class TestFuzz:
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(["kappa", "cusps", "cosets"]), GROUPS)
@@ -874,3 +1120,15 @@ class TestFuzz:
         assert code in (0, 1, 2)
         if code == 2:
             assert "error_kind" in json.loads(out.getvalue())
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(BASIS_VERBS), F11_FILES, BASIS_FILES)
+    def test_arbitrary_basis_files(self, verb, f_obj, basis_obj):
+        assert_clean_exit(*run_on_files(verb, {"F": f_obj, "P": ["1", "-2"], "B": basis_obj}))
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.booleans(), F11_FILES, DEC_FILES)
+    def test_arbitrary_decomposition_files(self, with_basis, f_obj, dec_obj):
+        verb = ["verify", "--f", "F", "--dec", "D", "--group", "gamma0:11"]
+        verb += ["--with-basis"] if with_basis else []
+        assert_clean_exit(*run_on_files(verb, {"F": f_obj, "D": dec_obj}))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmfkit import subgroup
 from gmfkit.cli import run
 from gmfkit.errors import BadGroupError, BadMatrixError, UnsupportedGroupError
 from gmfkit.subgroup import (
@@ -81,6 +82,11 @@ class TestDescriptor:
     @pytest.mark.parametrize("bad", ["gamma2:4", "gamma0", "gamma0:x", "gamma0:0"])
     def test_parse_rejects(self, bad):
         with pytest.raises(BadGroupError):
+            GroupDescriptor.parse(bad)
+
+    @pytest.mark.parametrize("bad", [11, None, ["gamma0:11"], {"gamma0": 11}])
+    def test_parse_rejects_non_string(self, bad):
+        with pytest.raises(BadGroupError, match="expected kind:level"):
             GroupDescriptor.parse(bad)
 
     def test_minus_identity(self):
@@ -187,6 +193,22 @@ class TestCusps:
     @pytest.mark.parametrize("n", list(range(1, 11)))
     def test_gamma_sweep_vs_formula(self, n):
         assert cusp_count(GroupDescriptor(GAMMA, n)) == cusps_gamma_formula(n)
+
+    @pytest.mark.parametrize("group, cusps", [
+        (GroupDescriptor(GAMMA0, 36), cusps_gamma0_formula(36)),
+        (GroupDescriptor(GAMMA1, 13), cusps_gamma1_formula(13)),
+        (GroupDescriptor(GAMMA, 7), cusps_gamma_formula(7)),
+    ])
+    def test_counted_once_by_the_table_build(self, monkeypatch, group, cusps):
+        # the build finds the coset of each rep * T; no coset is keyed again
+        table = coset_table(group)
+
+        def no_key(*args):
+            raise AssertionError("a coset was keyed after the table build")
+
+        monkeypatch.setattr(subgroup, "_coset_key", no_key)
+        assert cusp_count(group) == table.cusp_count == cusps
+        assert kappa(group) == p_index(group) // 6 + 1 - cusps
 
 
 class TestKappa:
