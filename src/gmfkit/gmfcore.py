@@ -28,6 +28,7 @@ from operator import mul
 
 from .errors import (
     CorruptBasisError,
+    DivisionByZeroSeriesError,
     GroupMismatchError,
     IncompatibleSeriesError,
     MalformedInputError,
@@ -35,7 +36,6 @@ from .errors import (
     NotNormalizedError,
     PrecisionError,
     PrefixInconsistentError,
-    UnsupportedGroupError,
 )
 from .etaforms import CuspFormBasis
 from .jsonio import all_checks_passed  # noqa: F401  (re-exported)
@@ -44,7 +44,7 @@ from .jsonio import series_from_obj, series_to_obj
 from .linalg import solve_full_column_rank
 from .numberfield import CyclotomicElement, FieldTag, _product, denominator_primes, is_rational
 from .qseries import QExpansion, exp_from_logderiv, first_disagreement
-from .subgroup import GroupDescriptor, j_normalizes, kappa
+from .subgroup import GroupDescriptor, kappa
 
 
 @dataclass(frozen=True)
@@ -304,7 +304,7 @@ def verify_decomposition(f: PGMF, dec: CanonicalDecomposition, basis=None):
         ),
         _agreement_check("product", lambda: (f1 * f0, e), IncompatibleSeriesError),
         _agreement_check(
-            "logderiv", logderiv_pair, (IncompatibleSeriesError, NotNormalizedError)
+            "logderiv", logderiv_pair, (IncompatibleSeriesError, DivisionByZeroSeriesError)
         ),
     ]
     if basis is None:
@@ -406,12 +406,8 @@ def galois_norm(f: PGMF) -> PGMF:
 
 def k_operator(f: PGMF) -> PGMF:
     """Hecke conjugation operator on expansions: conjugate every Fourier
-    coefficient.  Requires diag(-1,1) to normalize the group, so that the
-    image is again a form on the same group."""
-    if not j_normalizes(f.group):
-        raise UnsupportedGroupError(
-            f"diag(-1,1) does not normalize {f.group}; the image leaves the group"
-        )
+    coefficient.  The image stays on the same group: diag(-1,1) normalizes
+    every supported group (see ``subgroup.j_normalizes``)."""
     return PGMF(f.expansion.conjugate_coeffs(), f.group)
 
 

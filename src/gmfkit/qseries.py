@@ -212,13 +212,11 @@ class QExpansion:
         """Multiplicative inverse; lead -h, precision min(target, P - 2h)."""
         if self.is_zero:
             raise DivisionByZeroSeriesError("inverse of the zero series")
-        h = self.lead
-        available = self.precision - 2 * h
-        precision = available if target_precision is None else min(target_precision, available)
-        if precision <= -h:
+        one = QExpansion.one(self.level, self.precision - self.lead, self.field)
+        out = one.divide(self, target_precision)
+        if out.is_zero:  # the precision ends at or below the lead -h
             raise PrecisionError("no coefficients of the inverse are determined")
-        one = QExpansion.one(self.level, self.precision - h, self.field)
-        return one.divide(self, target_precision)
+        return out
 
     def divide(self, other: "QExpansion", target_precision=None) -> "QExpansion":
         """self / other by one online recurrence; agrees with
@@ -251,16 +249,6 @@ class QExpansion:
 
     # ------------------------------------------------------------------
     # logarithmic derivative and friends
-
-    def theta(self) -> "QExpansion":
-        """Apply q d/dq: multiply the coefficient of q_N^n by n."""
-        return QExpansion(
-            self.level,
-            self.lead,
-            [(self.lead + i) * c for i, c in enumerate(self.coeffs)],
-            self.precision,
-            self.field,
-        )
 
     def theta_logderiv(self) -> "QExpansion":
         """(q d/dq f) / f.

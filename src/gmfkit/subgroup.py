@@ -8,10 +8,10 @@ cusp count (the orbits of the right T-action, counted once from the
 T-images the search computes anyway) and representative extraction.
 
 Each coset is named by a canonical key of g mod N (every kind contains
-Gamma(N), so the right coset of g depends only on g mod N).  The BFS
-visits index-many states and the table holds one key per coset, while
-the representatives keep exact integer entries.  Groups of index above
-``MAX_INDEX`` are refused before any search.
+Gamma(N), so the right coset of g depends only on g mod N).  The BFS keys
+each neighbour g S, g T from the entries of g and builds a representative
+(exact integer entries) only for a coset not seen before.  Groups of
+index above ``MAX_INDEX`` are refused before any search.
 """
 
 from __future__ import annotations
@@ -92,9 +92,6 @@ class IntegerMatrix:
             raise BadMatrixError("inverse requires determinant 1")
         return IntegerMatrix(self.d, -self.b, -self.c, self.a)
 
-    def mod(self, n: int) -> tuple:
-        return (self.a % n, self.b % n, self.c % n, self.d % n)
-
     def entries(self):
         return ((self.a, self.b), (self.c, self.d))
 
@@ -146,7 +143,7 @@ def p_index(group: GroupDescriptor) -> int:
     idx = n ** (2 if group.kind == GAMMA1 else 3)
     for p in primes:
         idx = idx // (p * p) * (p * p - 1)
-    return idx if n <= 2 else idx // 2  # -I lies in the group only for N <= 2
+    return idx if contains_minus_identity(group) else idx // 2
 
 
 # Largest index a coset table is built for.  Gamma(N) has index ~N^3/2,
@@ -154,10 +151,10 @@ def p_index(group: GroupDescriptor) -> int:
 MAX_INDEX = 100_000
 
 
-def _coset_key(group: GroupDescriptor, mat: IntegerMatrix) -> tuple:
-    """Canonical name of the right coset P Gamma mat, sign quotiented out.
+def _coset_key(group: GroupDescriptor, a: int, b: int, c: int, d: int) -> tuple:
+    """Canonical name of the right coset P Gamma (a b; c d), sign quotiented out.
 
-    Left multiplication by the group fixes, of mat mod N: for Gamma(N)
+    Left multiplication by the group fixes, of the matrix mod N: for Gamma(N)
     the whole residue; for Gamma_1(N) the bottom row (c, d); for
     Gamma_0(N) the bottom row up to a unit, a point of P^1(Z/N).  That
     point's normal form: a unit u takes c to g = gcd(c, N), the units
@@ -166,9 +163,9 @@ def _coset_key(group: GroupDescriptor, mat: IntegerMatrix) -> tuple:
     """
     n = group.level
     if group.kind == GAMMA:
-        key = mat.mod(n)
+        key = (a % n, b % n, c % n, d % n)
         return min(key, tuple(-x % n for x in key))
-    c, d = mat.c % n, mat.d % n
+    c, d = c % n, d % n
     if group.kind == GAMMA1:
         return min((c, d), (-c % n, -d % n))
     g = math.gcd(c, n)
@@ -185,15 +182,16 @@ class CosetTable:
     def __init__(self, group: GroupDescriptor):
         self.group = group
         self.reps: list[IntegerMatrix] = [IDENTITY]
-        self._coset_of: dict[tuple, int] = {_coset_key(group, IDENTITY): 0}
+        self._coset_of: dict[tuple, int] = {_coset_key(group, 1, 0, 0, 1): 0}
         t_image = []  # t_image[i]: the coset of reps[i] * T
         # reps doubles as the BFS queue: the loop reaches each new coset
         # in the order it is appended
         for g in self.reps:
-            for h in (g * GEN_S, g * GEN_T):
-                index = self._coset_of.setdefault(_coset_key(group, h), len(self.reps))
+            a, b, c, d = g.a, g.b, g.c, g.d
+            for h in ((b, -a, d, -c), (a, a + b, c, c + d)):  # g * S, then g * T
+                index = self._coset_of.setdefault(_coset_key(group, *h), len(self.reps))
                 if index == len(self.reps):
-                    self.reps.append(h)
+                    self.reps.append(IntegerMatrix(*h))
             t_image.append(index)  # the last h is g * T
         self.cusp_count = 0  # the cycles of the right T-action on the cosets
         for start in range(len(t_image)):
@@ -207,7 +205,7 @@ class CosetTable:
         return len(self.reps)
 
     def coset_index(self, mat: IntegerMatrix) -> int:
-        return self._coset_of[_coset_key(self.group, mat)]
+        return self._coset_of[_coset_key(self.group, mat.a, mat.b, mat.c, mat.d)]
 
 
 _TABLE_CACHE: dict[GroupDescriptor, CosetTable] = {}

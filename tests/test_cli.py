@@ -380,6 +380,22 @@ class TestVerifyWithBasis:
         assert obj["error_kind"] == "malformed-input"
         assert obj["message"].startswith(f"{basis_path}: not valid JSON (")
 
+    def test_zero_f0_fails_logderiv_check(self, capsys, tmp_path, f_and_dec):
+        # f0 = 0 has no logarithmic derivative: a failed check, not an error exit
+        f_path, dec_path = f_and_dec
+        with open(dec_path, encoding="utf-8") as fh:
+            dec = json.load(fh)
+        dec["f0"]["coeffs"] = ["0"] * len(dec["f0"]["coeffs"])
+        zero_path = tmp_path / "dec-zero-f0.json"
+        zero_path.write_text(json.dumps(dec))
+        report = invoke_json(
+            capsys, "verify", "--f", f_path, "--dec", str(zero_path), "--group", "gamma0:11"
+        )
+        assert report["all_passed"] is False
+        (logderiv,) = [c for c in report["checks"] if c["check"] == "logderiv"]
+        assert logderiv["passed"] is False
+        assert logderiv["detail"] == "logarithmic derivative of the zero series"
+
     def test_missing_basis_file(self, capsys, tmp_path, f_and_dec):
         f_path, dec_path = f_and_dec
         code, out = invoke(

@@ -260,6 +260,19 @@ class TestVerifyDecomposition:
         report = {c["check"]: c for c in verify_decomposition(f, broken, BASIS11)}
         assert report["logderiv"]["passed"] is False
 
+    def test_zero_f0_fails_logderiv(self):
+        f, *_ = synthetic_worked_example()
+        dec = decompose_with_prefix(f, [1, -2], BASIS11, 60)
+        broken = CanonicalDecomposition(
+            f1=dec.f1,
+            f0=PGMF(QExpansion.zero(1, 60), G11),
+            g0=dec.g0,
+            basis_coords=dec.basis_coords,
+        )
+        report = {c["check"]: c for c in verify_decomposition(f, broken, BASIS11)}
+        assert report["logderiv"]["passed"] is False
+        assert report["logderiv"]["detail"] == "logarithmic derivative of the zero series"
+
     def test_missing_basis_marks_skip(self):
         f, *_ = synthetic_worked_example(30)
         dec = decompose_with_prefix(f, [1, -2], BASIS11, 30)

@@ -101,6 +101,12 @@ class TestInverse:
         with pytest.raises(DivisionByZeroSeriesError):
             QExpansion.zero(1, 4).inverse()
 
+    @pytest.mark.parametrize("target", [-2, -3])
+    def test_target_at_or_below_lead_rejected(self, target):
+        # q^2 + ... has inverse q^-2 + ...; a target <= -2 determines nothing
+        with pytest.raises(PrecisionError):
+            QExpansion.monomial(1, 2, 6).inverse(target)
+
     def test_mul_consistency(self, qs):
         rng = random.Random(3)
         for _ in range(20):

@@ -314,6 +314,24 @@ class TestCosetKeys:
         table = CosetTable(group)
         assert len(table._coset_of) == len(table.reps) == p_index(group)
 
+    @pytest.mark.parametrize(
+        "group",
+        [GroupDescriptor(GAMMA0, 30), GroupDescriptor(GAMMA1, 8), GroupDescriptor(GAMMA, 5)],
+    )
+    def test_builds_one_matrix_per_new_coset(self, monkeypatch, group):
+        # the search keys each neighbour from its entries; only a coset it
+        # keeps gets a matrix (the identity, reps[0], exists already)
+        built = []
+        init = IntegerMatrix.__init__
+
+        def counting_init(self, *entries):
+            built.append(entries)
+            init(self, *entries)
+
+        monkeypatch.setattr(IntegerMatrix, "__init__", counting_init)
+        table = CosetTable(group)
+        assert len(built) == len(table) - 1 == p_index(group) - 1
+
     def test_gamma0_2000_matches_closed_formulas(self):
         group = GroupDescriptor(GAMMA0, 2000)
         cusps = cusps_gamma0_formula(2000)
