@@ -58,7 +58,7 @@ class PGMF:
     def normalized(self) -> bool:
         """Leading coefficient equal to 1."""
         e = self.expansion
-        return (not e.is_zero) and e.coeffs[0] == e.field.one
+        return (not e.is_zero) and e.coeff(e.lead) == e.field.one
 
 
 @dataclass(frozen=True)
@@ -294,12 +294,12 @@ def verify_decomposition(f: PGMF, dec: CanonicalDecomposition, basis=None):
     checks = [
         check_entry(
             "f0-unit",
-            (not f0.is_zero) and f0.lead == 0 and f0.coeffs[0] == f0.field.one,
+            (not f0.is_zero) and f0.lead == 0 and f0.coeff(0) == f0.field.one,
             "f0 does not start with constant term 1",
         ),
         check_entry(
             "f1-normalized",
-            (not f1.is_zero) and f1.lead == e.lead and f1.coeffs[0] == f1.field.one,
+            (not f1.is_zero) and f1.lead == e.lead and f1.coeff(e.lead) == f1.field.one,
             "f1 is not normalized at the lead of f",
         ),
         _agreement_check("product", lambda: (f1 * f0, e), IncompatibleSeriesError),

@@ -17,10 +17,11 @@ Galois conjugates over the norm; that and every other product of many
 factors is one balanced tree, ``_product``.
 
 A ``FieldTag`` names the coefficient field of a series.  Q is its degree-1
-case, with modulus Phi_1 = x - 1: the tag turns a list of elements into
-integer power-basis coordinates over one common denominator and turns
-integer slots back into elements, so the series kernels in ``qseries``
-run one integer code path over Q and over Q(zeta_m) alike.
+case, with modulus Phi_1 = x - 1: the tag reduces integer slots mod its
+modulus and builds elements from integer coordinates, so the series kernels
+in ``qseries`` run one integer code path over Q and over Q(zeta_m) alike.
+``_integer_form`` writes a list of elements as those integer coordinates
+over one common denominator.
 """
 
 from __future__ import annotations
@@ -146,16 +147,25 @@ def _kronecker(a, b, size, width):
     ]
 
 
-def _integer_form(coeffs):
-    """(numerators, d) with coeffs[i] == numerators[i] / d for rationals,
-    d the lcm of their denominators."""
+def _over_lcm(rationals):
+    """(numerators, d) with rationals[i] == numerators[i] / d, d the lcm of
+    their denominators.  The highest power of each prime of d divides some
+    denominator whose numerator it does not divide, so gcd(d, *numerators)
+    is 1."""
     d = 1
-    for c in coeffs:
+    for c in rationals:
         if d % c.denominator:
             d = math.lcm(d, c.denominator)
     if d == 1:
-        return [c.numerator for c in coeffs], 1
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
+        return [c.numerator for c in rationals], 1
+    return [c.numerator * (d // c.denominator) for c in rationals], d
+
+
+def _integer_form(elements):
+    """(nums, d): the power-basis coordinates of a list of rationals or of
+    elements of one Q(zeta_m), flattened in turn, as integers over their
+    lcm denominator d, with gcd(d, *nums) == 1."""
+    return _over_lcm([x for c in elements for x in getattr(c, "coords", (c,))])
 
 
 def _times(a, b, m):
@@ -185,11 +195,26 @@ def _product(factors, times):
 
 
 def _galois(coords, k, m):
-    """Coordinates of the image of an element of Q(zeta_m) under zeta -> zeta^k."""
+    """Coordinates of the image of an element of Q(zeta_m) under zeta -> zeta^k;
+    requires gcd(k, m) = 1."""
+    if math.gcd(k, m) != 1:
+        raise InvalidAutomorphismError(f"k = {k} is not coprime to the conductor {m}")
     image = [0] * m
     for i, c in enumerate(coords):
         image[i * k % m] = c
     return _poly_divmod_monic(image, cyclotomic_polynomial(m))[1]
+
+
+def _inverse_coords(a, m):
+    """(others, norm) for integer coordinates a != 0 of Q(zeta_m): others is
+    the product of the other Galois conjugates of a, so a * others is the
+    rational integer norm and 1 / a = others / norm."""
+    factors = [_galois(a, k, m) for k in range(2, m) if math.gcd(k, m) == 1]
+    others = _product(factors or [[1]], lambda x, y: _times(x, y, m))
+    norm, *rest = _times(others, a, m)
+    if any(rest):
+        raise ArithmeticError("the norm of a cyclotomic element is not rational")
+    return others, norm
 
 
 @lru_cache(maxsize=None)
@@ -278,8 +303,8 @@ class CyclotomicElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, da = _integer_form(self.coords)
-        b, db = _integer_form(other.coords)
+        a, da = _over_lcm(self.coords)
+        b, db = _over_lcm(other.coords)
         den = da * db
         prod = _times(a, b, self.conductor)
         return CyclotomicElement(self.conductor, [Fraction(c, den) for c in prod])
@@ -292,14 +317,9 @@ class CyclotomicElement:
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
         # on integer coordinates: for self = a / d, 1 / self = d (others) / N(a)
-        m = self.conductor
-        a, d = _integer_form(self.coords)
-        factors = [_galois(a, k, m) for k in range(2, m) if math.gcd(k, m) == 1]
-        others = _product(factors or [[1]], lambda x, y: _times(x, y, m))
-        norm, *rest = _times(others, a, m)
-        if any(rest):
-            raise ArithmeticError(f"the norm of {self!r} is not rational")
-        return CyclotomicElement(m, [Fraction(d * c, norm) for c in others])
+        a, d = _over_lcm(self.coords)
+        others, norm = _inverse_coords(a, self.conductor)
+        return CyclotomicElement(self.conductor, [Fraction(d * c, norm) for c in others])
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -324,10 +344,7 @@ class CyclotomicElement:
 
     def galois(self, k: int) -> "CyclotomicElement":
         """Image under zeta_m -> zeta_m^k; requires gcd(k, m) = 1."""
-        m = self.conductor
-        if math.gcd(k, m) != 1:
-            raise InvalidAutomorphismError(f"k = {k} is not coprime to the conductor {m}")
-        return CyclotomicElement(m, _galois(self.coords, k, m))
+        return CyclotomicElement(self.conductor, _galois(self.coords, k, self.conductor))
 
     def conjugate(self) -> "CyclotomicElement":
         """Complex conjugation, zeta_m -> zeta_m^(-1)."""
@@ -435,18 +452,7 @@ class FieldTag:
         return CyclotomicElement.from_rational(self.conductor, value)
 
     # Power-basis coordinates, for the series kernels: a Fraction is its
-    # own single coordinate.  The element class, the JSON form and the
-    # denominator-prime report read an element's coordinates as well.
-
-    def integer_coords(self, elements, stride=None):
-        """(slots, d): the coordinates of ``elements`` as integers over their
-        lcm denominator d, those of elements[i] at slots i * stride ..
-        i * stride + degree - 1 and zeros in the slots between; the stride
-        defaults to the degree."""
-        if self.conductor is None:
-            return _integer_form(elements)
-        pad = (0,) * ((stride or self.degree) - self.degree)
-        return _integer_form([x for c in elements for x in c.coords + pad])
+    # own single coordinate.
 
     def reduce(self, slots):
         """Integer slots of a polynomial in zeta, reduced to ``degree``
@@ -455,27 +461,16 @@ class FieldTag:
             return slots
         return _poly_divmod_monic(slots, self.modulus)[1]
 
-    def from_coords(self, coords):
-        """The elements whose rational coordinates ``coords`` lists in turn,
-        ``degree`` of them per element."""
+    def elements(self, nums, den):
+        """The elements whose integer coordinates over ``den`` ``nums``
+        lists in turn, ``degree`` of them per element."""
         if self.conductor is None:
-            return coords
+            return [Fraction(x, den) for x in nums]
         deg = self.degree
         return [
-            CyclotomicElement(self.conductor, coords[i : i + deg])
-            for i in range(0, len(coords), deg)
+            CyclotomicElement(self.conductor, [Fraction(x, den) for x in nums[i : i + deg]])
+            for i in range(0, len(nums), deg)
         ]
-
-    def elements(self, slots, den, stride):
-        """The elements held in integer ``slots`` over ``den``, element i in
-        slots i * stride .. (i + 1) * stride - 1, reduced mod the modulus."""
-        if self.conductor is None:
-            return [Fraction(c, den) for c in slots]
-        return self.from_coords([
-            Fraction(c, den)
-            for i in range(0, len(slots), stride)
-            for c in self.reduce(slots[i : i + stride])
-        ])
 
     def __repr__(self):
         if self.conductor is None:

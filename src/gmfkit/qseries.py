@@ -17,29 +17,34 @@ precision):
 * ``f ** m``           relative precision M preserved, lead m h_f
 * ``f.rescale_level(L)``  exponents and P scale by L / N
 
-Kernels.  Every kernel runs on integers, over Q and over Q(zeta_m) alike:
-the field tag writes each operand's coefficients as integer power-basis
-coordinates over one common denominator (the lcm of their denominators),
-the inner sums run on Python ints, and each output coefficient is
-reduced mod Phi_m and normalized exactly once.  Q is the degree-1 case,
-where a coefficient is one coordinate and nothing is reduced.  A product
-gives each coefficient 2 phi(m) - 1 slots, room for the product of two
-elements, convolves the flattened operands once and reduces each block of
-slots mod Phi_m (Kronecker substitution in q and zeta).  The convolution,
-``numberfield._convolve`` (which multiplies field elements too), packs
-both operands into one integer, so that CPython's Karatsuba multiply does
-all of it, unless the bit heights are so lopsided that integer dot
-products cost less; the choice depends only on the operands' lengths and
-bit lengths.  ``divide`` (and through it ``inverse``),
-``theta_logderiv`` (theta f / f) and ``exp_from_logderiv`` all solve one
-online recurrence, which keeps each coordinate of its unknowns as an
-integer over their running lcm denominator and forms each inner sum as
-phi(m)^2 integer dot products.
+Stored form.  A series holds its coefficients as integers: ``nums`` lists
+the power-basis coordinates of coefficients lead .. precision-1 in turn
+(one per coefficient over Q, phi(m) over Q(zeta_m)) over one denominator
+``den > 0``, kept canonical, gcd(den, *nums) == 1, so that equal series
+have equal (nums, den).  The constructor is the one place elements become
+this form; every kernel reads and returns (nums, den), and ``coeffs``
+builds the field elements only when read (``coeff(n)`` builds one).
+
+Kernels.  Every kernel runs on integers, over Q and over Q(zeta_m) alike;
+Q is the degree-1 case, where a coefficient is one coordinate and nothing
+is reduced.  A product gives each coefficient 2 phi(m) - 1 slots, room for
+the product of two elements, convolves the flattened operands once and
+reduces each block of slots mod Phi_m (Kronecker substitution in q and
+zeta).  The convolution, ``numberfield._convolve`` (which multiplies field
+elements too), packs both operands into one integer, so that CPython's
+Karatsuba multiply does all of it, unless the bit heights are so lopsided
+that integer dot products cost less; the choice depends only on the
+operands' lengths and bit lengths.  ``divide`` (and through it
+``inverse``), ``theta_logderiv`` (theta f / f) and ``exp_from_logderiv``
+all solve one online recurrence, which keeps each coordinate of its
+unknowns as an integer over their running lcm denominator (already the
+canonical form) and forms each inner sum as phi(m)^2 integer dot products.
+A result that may share a factor with its denominator, such as a product,
+a sum or a truncation, is reduced by one running gcd that stops at 1.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
@@ -51,7 +56,8 @@ from .errors import (
     NotRationalError,
     PrecisionError,
 )
-from .numberfield import RATIONAL, FieldTag, _convolve, _power, galois_apply, is_rational
+from .numberfield import RATIONAL, FieldTag, _convolve, _galois, _integer_form, _inverse_coords
+from .numberfield import _power, _times
 from .numberfield import _dot_products, _kronecker  # noqa: F401  (for the kernel tests)
 
 # Cap on the exponent window a spread (rescale_level, substitute_power) may
@@ -63,7 +69,7 @@ MAX_TERMS = 100_000
 class QExpansion:
     """Exact truncated Laurent series at the infinite cusp."""
 
-    __slots__ = ("level", "lead", "precision", "coeffs", "field")
+    __slots__ = ("level", "lead", "precision", "field", "nums", "den", "_coeffs")
 
     def __init__(self, level, lead, coeffs, precision=None, field=RATIONAL):
         if not isinstance(level, int) or level < 1:
@@ -76,22 +82,49 @@ class QExpansion:
             raise PrecisionError(
                 f"{len(coeffs)} coefficients do not fit in window [{lead}, {precision})"
             )
-        if window > len(coeffs):  # explicit padding: caller asserts exact zeros
-            zero = field.zero
-            coeffs = coeffs + [zero] * (window - len(coeffs))
+        nums, den = _integer_form(coeffs)
+        # explicit padding: the caller asserts exact zeros
+        nums += [0] * ((window - len(coeffs)) * field.degree)
+        self._store(level, lead, nums, den, precision, field)
+
+    def _store(self, level, lead, nums, den, precision, field, reduced=False):
+        """Set the series whose coordinates of exponents lead .. precision-1
+        are ``nums`` over ``den > 0``: strip leading zeros and, unless the
+        caller knows gcd(den, *nums) == 1 (``reduced``), divide it out."""
         strip = 0
-        while strip < len(coeffs) and not coeffs[strip]:
+        while strip < len(nums) and not nums[strip]:
             strip += 1
-        if strip == len(coeffs):
-            lead, coeffs = precision, []
-        elif strip:
-            lead += strip
-            coeffs = coeffs[strip:]
+        if strip == len(nums):
+            lead, nums, den = precision, (), 1
+        else:
+            skip = strip // field.degree
+            if skip:
+                lead += skip
+                nums = nums[skip * field.degree :]
+            g = 1 if reduced else den
+            for x in nums:
+                if g == 1:
+                    break
+                if x % g:
+                    g = gcd(g, x)
+            if g > 1:
+                nums = [x // g for x in nums]
+                den //= g
         self.level = level
         self.lead = lead
         self.precision = precision
-        self.coeffs = tuple(coeffs)
         self.field = field
+        self.nums = tuple(nums)
+        self.den = den
+        self._coeffs = None
+
+    def _like(self, lead, nums, den, precision, reduced=False, level=None, field=None):
+        """The kernels' constructor: the series of this level and field
+        (unless given) with integer coordinates ``nums`` over ``den``."""
+        series = QExpansion.__new__(QExpansion)
+        level, field = level or self.level, field or self.field
+        series._store(level, lead, nums, den, precision, field, reduced)
+        return series
 
     # ------------------------------------------------------------------
     # constructors
@@ -114,8 +147,16 @@ class QExpansion:
     # basic accessors
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients of exponents lead .. precision-1 as field
+        elements, built on first read."""
+        if self._coeffs is None:
+            self._coeffs = tuple(self.field.elements(self.nums, self.den))
+        return self._coeffs
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def relative_precision(self) -> int:
@@ -127,7 +168,18 @@ class QExpansion:
             raise PrecisionError(f"coefficient of exponent {n} unknown (precision {self.precision})")
         if n < self.lead:
             return self.field.zero
-        return self.coeffs[n - self.lead]
+        if self._coeffs is not None:
+            return self._coeffs[n - self.lead]
+        deg = self.field.degree
+        i = (n - self.lead) * deg
+        return self.field.elements(self.nums[i : i + deg], self.den)[0]
+
+    def _window(self, start, stop):
+        """The integer coordinates (over ``den``) of exponents start ..
+        stop-1, for start <= lead and stop <= precision."""
+        deg = self.field.degree
+        pad = [0] * ((min(self.lead, stop) - start) * deg)
+        return pad + list(self.nums[: max(stop - self.lead, 0) * deg])
 
     def truncate(self, precision: int) -> "QExpansion":
         if precision > self.precision:
@@ -138,9 +190,8 @@ class QExpansion:
             return self
         if precision <= self.lead:
             return QExpansion.zero(self.level, precision, self.field)
-        return QExpansion(
-            self.level, self.lead, self.coeffs[: precision - self.lead], precision, self.field
-        )
+        size = (precision - self.lead) * self.field.degree
+        return self._like(self.lead, self.nums[:size], self.den, precision)
 
     def _require_compatible(self, other):
         if not isinstance(other, QExpansion):
@@ -160,18 +211,16 @@ class QExpansion:
     def __add__(self, other):
         self._require_compatible(other)
         precision = min(self.precision, other.precision)
-        if self.is_zero or other.is_zero:
-            return (other if self.is_zero else self).truncate(precision)
-        lead = min(self.lead, other.lead)
-        if lead >= precision:
-            return QExpansion.zero(self.level, precision, self.field)
-        out = [self.coeff(n) + other.coeff(n) for n in range(lead, precision)]
-        return QExpansion(self.level, lead, out, precision, self.field)
+        lead = min(self.lead, other.lead, precision)
+        den = lcm(self.den, other.den)
+        a, b = self._window(lead, precision), other._window(lead, precision)
+        sa, sb = den // self.den, den // other.den
+        out = [x * sa + y * sb for x, y in zip(a, b)]
+        return self._like(lead, out, den, precision)
 
     def __neg__(self):
-        return QExpansion(
-            self.level, self.lead, [-c for c in self.coeffs], self.precision, self.field
-        )
+        negated = [-x for x in self.nums]
+        return self._like(self.lead, negated, self.den, self.precision, reduced=True)
 
     def __sub__(self, other):
         return self + (-other)
@@ -182,31 +231,23 @@ class QExpansion:
         if self.is_zero or other.is_zero:
             return QExpansion.zero(self.level, precision, self.field)
         lead = self.lead + other.lead
-        size = precision - lead
-        field = self.field
-        # each coefficient gets room for a product of two elements
-        stride = 2 * field.degree - 1
-        an, ad = field.integer_coords(self.coeffs[:size], stride)
-        bn, bd = field.integer_coords(other.coeffs[:size], stride)
-        out = field.elements(_convolve(an, bn, size * stride), ad * bd, stride)
-        return QExpansion(self.level, lead, out, precision, field)
+        size = (precision - lead) * self.field.degree
+        out = _convolved(self.nums[:size], other.nums[:size], precision - lead, self.field)
+        return self._like(lead, out, self.den * other.den, precision)
 
     def scale(self, scalar) -> "QExpansion":
         """Multiply every coefficient by a fixed field element."""
-        scalar = self.field.coerce(scalar)
-        if not scalar:
+        c = QExpansion(self.level, 0, [scalar], 1, self.field)
+        if c.is_zero:
             return QExpansion.zero(self.level, self.precision, self.field)
-        return QExpansion(
-            self.level, self.lead, [scalar * c for c in self.coeffs], self.precision, self.field
-        )
+        if self.is_zero:
+            return self
+        out = _convolved(self.nums, c.nums, self.relative_precision, self.field)
+        return self._like(self.lead, out, self.den * c.den, self.precision)
 
     def shift(self, k: int) -> "QExpansion":
         """Multiply by q_N^k (shift all exponents by k)."""
-        if self.is_zero:
-            return QExpansion.zero(self.level, self.precision + k, self.field)
-        return QExpansion(
-            self.level, self.lead + k, list(self.coeffs), self.precision + k, self.field
-        )
+        return self._like(self.lead + k, self.nums, self.den, self.precision + k, reduced=True)
 
     def inverse(self, target_precision=None) -> "QExpansion":
         """Multiplicative inverse; lead -h, precision min(target, P - 2h)."""
@@ -232,9 +273,11 @@ class QExpansion:
         lead = self.lead - other.lead
         if self.is_zero or precision <= lead:
             return QExpansion.zero(self.level, precision, self.field)
-        terms = precision - lead
-        out = _recurrence(self.coeffs[:terms], other.coeffs[:terms], terms, self.field)
-        return QExpansion(self.level, lead, out, precision, self.field)
+        size = (precision - lead) * self.field.degree
+        nums, den = _recurrence(
+            self.nums[:size], self.den, other.nums[:size], other.den, precision - lead, self.field
+        )
+        return self._like(lead, nums, den, precision, reduced=True)
 
     def __pow__(self, m):
         if not isinstance(m, int):
@@ -259,11 +302,11 @@ class QExpansion:
         if self.is_zero:
             raise DivisionByZeroSeriesError("logarithmic derivative of the zero series")
         # theta f / f with both shifted by q^-h; x[0] = h c / c is the constant h
-        h = self.lead
-        theta = [(h + i) * c for i, c in enumerate(self.coeffs)]
+        h, deg = self.lead, self.field.degree
+        theta = [(h + i // deg) * x for i, x in enumerate(self.nums)]
         terms = self.relative_precision
-        out = _recurrence(theta, self.coeffs, terms, self.field)
-        return QExpansion(self.level, 0, out, terms, self.field)
+        nums, den = _recurrence(theta, self.den, self.nums, self.den, terms, self.field)
+        return self._like(0, nums, den, terms, reduced=True)
 
     # ------------------------------------------------------------------
     # level changes
@@ -287,18 +330,19 @@ class QExpansion:
         precision = -(-self.precision // c)
         if self.is_zero:
             return QExpansion.zero(new_level, precision, self.field)
+        deg = self.field.degree
         out = []
-        for i, a in enumerate(self.coeffs):
-            e = self.lead + i
+        for i in range(0, len(self.nums), deg):
+            e = self.lead + i // deg
             if e % c == 0:
-                out.append(a)
-            elif a:
+                out += self.nums[i : i + deg]
+            elif any(self.nums[i : i + deg]):
                 raise BadLevelError(
                     f"coefficient at exponent {e} blocks reduction by {c}"
                 )
         if self.lead % c != 0:
             raise BadLevelError(f"lead {self.lead} is not a multiple of {c}")
-        return QExpansion(new_level, self.lead // c, out, precision, self.field)
+        return self._like(self.lead // c, out, self.den, precision, reduced=True, level=new_level)
 
     def substitute_power(self, d: int) -> "QExpansion":
         """Replace q by q^d at the same level (z -> d z on expansions)."""
@@ -320,10 +364,9 @@ class QExpansion:
                 f"spreading {self.relative_precision} exponents by {c} exceeds "
                 f"the cap of {MAX_TERMS}"
             )
-        out = [self.field.zero] * (c * (len(self.coeffs) - 1) + 1)
-        for i, a in enumerate(self.coeffs):
-            out[c * i] = a
-        return QExpansion(level, c * self.lead, out, c * self.precision, self.field)
+        out = _strided(self.nums, self.field.degree, c * self.field.degree)
+        precision = c * self.precision
+        return self._like(c * self.lead, out, self.den, precision, reduced=True, level=level)
 
     # ------------------------------------------------------------------
     # coefficient field maps
@@ -332,13 +375,11 @@ class QExpansion:
         """Apply zeta -> zeta^k to every coefficient; identity over Q."""
         if self.field.is_rational_field:
             return self
-        return QExpansion(
-            self.level,
-            self.lead,
-            [galois_apply(c, k) for c in self.coeffs],
-            self.precision,
-            self.field,
-        )
+        m, deg = self.field.conductor, self.field.degree
+        nums = self.nums
+        out = [x for i in range(0, len(nums), deg) for x in _galois(nums[i : i + deg], k, m)]
+        # an integer map whose inverse (k^-1) is one too keeps gcd(den, *nums)
+        return self._like(self.lead, out, self.den, self.precision, reduced=True)
 
     def conjugate_coeffs(self) -> "QExpansion":
         """Complex-conjugate every coefficient (zeta -> zeta^(-1))."""
@@ -352,21 +393,21 @@ class QExpansion:
             raise IncompatibleSeriesError(
                 f"no promotion from {self.field!r} to {field!r}"
             )
-        return QExpansion(self.level, self.lead, list(self.coeffs), self.precision, field)
+        out = _strided(self.nums, 1, field.degree)
+        return self._like(self.lead, out, self.den, self.precision, reduced=True, field=field)
 
     def as_rational_series(self) -> "QExpansion":
         """Retag with Q; every coefficient must be rational-valued."""
         if self.field.is_rational_field:
             return self
-        out = []
-        for i, c in enumerate(self.coeffs):
-            ok, value = is_rational(c)
-            if not ok:
+        deg = self.field.degree
+        for i in range(0, len(self.nums), deg):
+            if any(self.nums[i + 1 : i + deg]):
                 raise NotRationalError(
-                    f"coefficient at exponent {self.lead + i} is not rational"
+                    f"coefficient at exponent {self.lead + i // deg} is not rational"
                 )
-            out.append(value)
-        return QExpansion(self.level, self.lead, out, self.precision, RATIONAL)
+        out = self.nums[::deg]
+        return self._like(self.lead, out, self.den, self.precision, reduced=True, field=RATIONAL)
 
     # ------------------------------------------------------------------
 
@@ -378,11 +419,12 @@ class QExpansion:
             and self.field == other.field
             and self.lead == other.lead
             and self.precision == other.precision
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self):
-        return hash((self.level, self.field, self.lead, self.precision, self.coeffs))
+        return hash((self.level, self.field, self.lead, self.precision, self.den, self.nums))
 
     def __repr__(self):
         var = "q" if self.level == 1 else f"q{self.level}"
@@ -422,62 +464,92 @@ def exp_from_logderiv(g: QExpansion, target_precision: int) -> QExpansion:
     field = g.field
     # with b(k) the coefficients of g, this is the recurrence for 1 - b, s(n) = n
     one_minus_b = QExpansion.one(g.level, precision, field) - g
-    a = _recurrence([field.one], one_minus_b.coeffs, precision, field, by_index=True)
-    return QExpansion(g.level, 0, a, precision, field)
+    one = [1] + [0] * (field.degree - 1)
+    nums, den = _recurrence(
+        one, 1, one_minus_b.nums, one_minus_b.den, precision, field, by_index=True
+    )
+    return g._like(0, nums, den, precision, reduced=True)
 
 
 def first_disagreement(f: QExpansion, g: QExpansion):
     """Smallest exponent where two series (same level/field) are known to
-    differ, or None if they agree wherever both are known."""
-    f._require_compatible(g)
-    stop = min(f.precision, g.precision)
-    start = min(f.lead, g.lead)
-    return next((n for n in range(start, stop) if f.coeff(n) != g.coeff(n)), None)
+    differ, or None if they agree wherever both are known: the lead of
+    f - g, whose leading zeros the stored form strips."""
+    diff = f - g
+    return None if diff.is_zero else diff.lead
+
+
+def _convolved(a, b, terms, field):
+    """Integer coordinates of the first ``terms`` coefficients of the
+    product of two series given by nonempty integer coordinates: each
+    coefficient gets room for a product of two elements, and each block of
+    slots is reduced mod the modulus."""
+    deg = field.degree
+    stride = 2 * deg - 1
+    out = _convolve(_strided(a, deg, stride), _strided(b, deg, stride), terms * stride)
+    if deg == 1:
+        return out
+    return [x for i in range(0, len(out), stride) for x in field.reduce(out[i : i + stride])]
+
+
+def _strided(nums, deg, stride):
+    """Coordinates ``deg`` to an element moved to ``stride`` slots to an
+    element, zeros in the slots between."""
+    if stride == deg:
+        return nums
+    out = [0] * (len(nums) // deg * stride)
+    for i in range(deg):
+        out[i::stride] = nums[i::deg]
+    return out
 
 
 # ----------------------------------------------------------------------
 # the recurrence kernel (see the module docstring)
 
 
-def _recurrence(r, g, terms, field, by_index=False):
-    """x[0 .. terms-1] of the online recurrence
+def _recurrence(r, rd, g, gd, terms, field, by_index=False):
+    """(nums, d): x[0 .. terms-1] of the online recurrence
 
         x[k] = (r[k] - sum_{j>=1} g[j] x[k-j]) / (g[0] s(k)),
 
-    with s(k) = max(k, 1) when ``by_index`` and s(k) = 1 otherwise.  Entries
-    of r past its end are zero; g[0] must be nonzero.  The coordinates of
-    the unknowns are kept as integers over their running lcm denominator.
+    with s(k) = max(k, 1) when ``by_index`` and s(k) = 1 otherwise, r and g
+    given as integer coordinates over rd and gd and the unknowns returned as
+    integer coordinates over their running lcm denominator d, which is
+    canonical.  Entries of r past its end are zero; g[0] must be nonzero.
     """
-    if not is_rational(g[0])[0]:  # a rational g[0] divides each coordinate below
-        inv0 = g[0] ** -1
-        r, g = [inv0 * c for c in r], [inv0 * c for c in g]
     deg = field.degree
-    gn, gd = field.integer_coords(g)
-    rn, rd = field.integer_coords(r)
     t = gcd(gd, rd)
     gd, rd = gd // t, rd // t
-    # times gd: x[k] = (gd rn[k] / rd - sum_j gn[j] x[k-j]) / (gn[0] s(k)),
-    # the sum taken as one dot product per pair of coordinates (a of g, b of
-    # x) into the slot a + b of a polynomial in zeta
-    top, width, rg = len(g) - 1, 2 * deg - 1, rd * gn[0]
-    grev = [gn[a::deg][::-1] for a in range(deg)]
+    # 1 / g[0] = gd unit / c; a rational g[0] is c / gd and needs no unit
+    unit, c = (None, g[0]) if not any(g[1:deg]) else _inverse_coords(g[:deg], field.conductor)
+    # x[k] = v / (rd c s(k) d) with x[i] = nums[i] / d and
+    # v = (gd d r[k] - rd sum_{j>=1} g[j] nums[k-j]) unit, the sum taken as
+    # one dot product per pair of coordinates (a of g, b of x) into the slot
+    # a + b of a polynomial in zeta
+    top, width, rc = len(g) // deg - 1, 2 * deg - 1, rd * c
+    grev = [g[a::deg][::-1] for a in range(deg)]
     pairs = [(a, b, a + b) for a in range(deg) if any(grev[a][:top]) for b in range(deg)]
     zeros = [0] * deg
-    coords, nums, d = [], [], 1  # coordinate b of x[i] is nums[i deg + b] / d
+    nums, d = [], 1
     for k in range(terms):
         j = min(k, top)
         lo = (k - j) * deg
         sums = [0] * width
         for a, b, e in pairs:
             sums[e] += sum(map(mul, nums[lo + b :: deg], grev[a][top - j : top]))
-        rk = rn[k * deg : (k + 1) * deg] or zeros
-        den = rg * d * (k if by_index and k > 1 else 1)
-        xk = [Fraction(gd * u * d - rd * v, den) for u, v in zip(rk, field.reduce(sums))]
-        coords += xk
-        q = lcm(*[c.denominator for c in xk])
-        grow = q // gcd(q, d)
+        rk = r[k * deg : (k + 1) * deg] or zeros
+        gdd = gd * d
+        v = [gdd * u - rd * w for u, w in zip(rk, field.reduce(sums))]
+        if unit is not None:
+            v = _times(v, unit, field.conductor)
+        # with t = gcd(m, *v), m = rc s(k), x[k] = (v / t) / (d m / t), and
+        # d m / t is the lcm of d and the reduced denominator of x[k]: a
+        # prime p gains max(0, v_p(m) - v_p(v)) in both
+        m = rc * (k if by_index and k > 1 else 1)
+        t = gcd(m, *v) if m > 0 else -gcd(m, *v)
+        grow = m // t
         if grow > 1:
             d *= grow
-            nums = [v * grow for v in nums]
-        nums += [c.numerator * (d // c.denominator) for c in xk]
-    return field.from_coords(coords)
+            nums = [x * grow for x in nums]
+        nums += [x // t for x in v]
+    return nums, d

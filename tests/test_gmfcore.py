@@ -248,6 +248,36 @@ class TestVerifyDecomposition:
         assert report["product"]["passed"] is False
         assert "exponent 6" in report["product"]["detail"]  # h + 5 with h = 1
 
+    # (check, spoiled part, exponent): f1 leads at q^1 and f0 at q^0 with
+    # constant term 1, so a change at exponent n shows first at n in f1 * f0
+    # and in theta f0 / f0; g0 against its basis fit shows it at n as well
+    SPOILED = [("product", "f1", 7), ("logderiv", "f0", 9), ("logderiv", "g0", 4),
+               ("basis-fit", "g0", 11)]
+
+    @pytest.mark.parametrize("delta", [F(1), F(1, 1000003)], ids=["same-den", "new-prime"])
+    @pytest.mark.parametrize("check, part, n", SPOILED)
+    def test_spoiled_coefficient_reported_at_its_exponent(self, check, part, n, delta):
+        f, *_ = synthetic_worked_example()
+        dec = decompose_with_prefix(f, [1, -2], BASIS11, 60)
+        parts = {"f1": dec.f1.expansion, "f0": dec.f0.expansion, "g0": dec.g0}
+        s = parts[part]
+        coeffs = list(s.coeffs)
+        coeffs[n - s.lead] += delta
+        parts[part] = QExpansion(s.level, s.lead, coeffs, s.precision, s.field)
+        # a new prime changes the canonical denominator, so the two sides of
+        # the check are brought to a common one before they are compared
+        assert (parts[part].den == s.den) == (delta == 1)
+        broken = CanonicalDecomposition(
+            f1=PGMF(parts["f1"], G11),
+            f0=PGMF(parts["f0"], G11),
+            g0=parts["g0"],
+            basis_coords=dec.basis_coords,
+        )
+        report = {c["check"]: c for c in verify_decomposition(f, broken, BASIS11)}
+        assert report[check] == {
+            "check": check, "passed": False, "detail": f"first discrepant exponent {n}"
+        }
+
     def test_zeroed_g0_fails_logderiv(self):
         f, *_ = synthetic_worked_example()
         dec = decompose_with_prefix(f, [1, -2], BASIS11, 60)

@@ -1,8 +1,10 @@
 """The integer kernels over Q and Q(zeta_m) against the schoolbook
 reference in ``reference_kernels``: every result must be equal in
-coefficients, lead and precision."""
+coefficients, lead and precision, and stored in the canonical form the
+constructor gives the same coefficients."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -57,11 +59,25 @@ RUNS = settings(max_examples=60, deadline=None)
 
 
 def outcome(kernel, *args):
-    """The kernel's result, or the type of the domain error it raised."""
+    """The kernel's result, checked to be canonical, or the type of the
+    domain error it raised."""
     try:
-        return kernel(*args)
+        result = kernel(*args)
     except GmfError as exc:
         return type(exc)
+    assert_canonical(result)
+    return result
+
+
+def assert_canonical(s):
+    """Integer coordinates over a positive denominator sharing no factor
+    with them, no leading zero, and equal, hash included, to the series
+    the constructor builds from the same coefficients."""
+    assert s.den > 0 and gcd(s.den, *s.nums) == 1
+    assert len(s.nums) == s.relative_precision * s.field.degree
+    assert s.is_zero or any(s.nums[: s.field.degree])
+    rebuilt = QExpansion(s.level, s.lead, s.coeffs, s.precision, s.field)
+    assert rebuilt == s and hash(rebuilt) == hash(s)
 
 
 @RUNS
@@ -98,6 +114,55 @@ def test_theta_logderiv(f):
 @given(series(lead=st.integers(1, 3)), st.integers(1, 40))
 def test_exp_from_logderiv(g, target):
     assert outcome(exp_from_logderiv, g, target) == outcome(ref.exp_from_logderiv, g, target)
+
+
+@RUNS
+@given(series(), series(), st.integers(-3, 3), st.integers(0, 16), st.data())
+def test_linear_kernels(f, g, k, cut, data):
+    # sums, negation, scaling, shifts, truncations and Galois images against
+    # their coefficientwise definitions
+    def built(lead, values, precision):
+        if precision <= lead:
+            return QExpansion.zero(f.level, precision, f.field)
+        return QExpansion(f.level, lead, values, precision, f.field)
+
+    p = min(f.precision, g.precision)
+    lo = min(f.lead, g.lead, p)
+    pairs = [(f.coeff(n), g.coeff(n)) for n in range(lo, p)]
+    assert outcome(QExpansion.__add__, f, g) == built(lo, [x + y for x, y in pairs], p)
+    assert outcome(QExpansion.__sub__, f, g) == built(lo, [x - y for x, y in pairs], p)
+    assert outcome(QExpansion.__sub__, f, f) == QExpansion.zero(f.level, f.precision, f.field)
+    c = element(data.draw, f.field, SMALL, SMALL)
+    assert outcome(QExpansion.scale, f, c) == built(f.lead, [c * x for x in f.coeffs], f.precision)
+    assert outcome(QExpansion.shift, f, k) == built(f.lead + k, f.coeffs, f.precision + k)
+    q = f.precision - cut
+    assert outcome(QExpansion.truncate, f, q) == built(f.lead, f.coeffs[: q - f.lead], q)
+    m = f.field.conductor
+    if m is not None:
+        u = data.draw(st.sampled_from([u for u in range(1, m) if gcd(u, m) == 1]))
+        image = built(f.lead, [x.galois(u) for x in f.coeffs], f.precision)
+        assert outcome(QExpansion.galois_map, f, u) == image
+    else:
+        assert outcome(f.promote(FieldTag(5)).as_rational_series) == f
+
+
+@pytest.mark.parametrize("conductor", [None, 5])
+def test_canonical_form_on_truncation_stripping_and_zero(conductor):
+    field = FieldTag(conductor)
+    x = [field.coerce(v) for v in (0, Fraction(1, 2), Fraction(1, 3), Fraction(5, 7))]
+    if conductor:  # sevenths in a coordinate past the first as well
+        x[3] = x[3] + CyclotomicElement(conductor, [0, Fraction(1, 7)])
+    f = QExpansion(1, -1, x, 4, field)
+    assert (f.lead, f.den) == (0, 42)  # the leading zero is stripped
+    low = f.truncate(2)  # dropping the sevenths lowers the denominator
+    assert low.den == 6 and low.nums[:: field.degree] == (3, 2)
+    rebuilt = QExpansion(1, 0, x[1:3], 2, field)
+    assert low == rebuilt and hash(low) == hash(rebuilt)
+    zero = f - f
+    assert zero == QExpansion.zero(1, 4, field) and hash(zero) == hash(QExpansion.zero(1, 4, field))
+    assert (zero.nums, zero.den, zero.lead) == ((), 1, 4)
+    for s in (f, low, zero, f * f, f.divide(low), low.theta_logderiv()):
+        assert_canonical(s)
 
 
 HEIGHTS = st.sampled_from([1, 4, 64, 3000])

@@ -103,3 +103,33 @@ def test_every_definition_has_a_caller():
                     and item.name not in attributes
                 ]
     assert uncalled == []
+
+
+def callers(name):
+    """module.function (module.Class.method) of every call of ``name`` in
+    the package source."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == name:
+                    found.append(".".join(scope))
+            visit(child, scope)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text(encoding="utf-8")), [path.stem])
+    return found
+
+
+def test_one_element_to_integer_conversion():
+    # a series stores integer coordinates over one denominator: elements
+    # become that form in the constructor alone, and no kernel converts them
+    # again, neither through the conversion nor through its rational helper
+    assert callers("_integer_form") == ["qseries.QExpansion.__init__"]
+    assert [c for c in callers("_over_lcm") if c.startswith("qseries.")] == []
