@@ -42,7 +42,7 @@ from .jsonio import all_checks_passed  # noqa: F401  (re-exported)
 from .jsonio import check_entry, format_rational, parse_rational, require_json
 from .jsonio import series_from_obj, series_to_obj
 from .linalg import solve_full_column_rank
-from .numberfield import CyclotomicElement, FieldTag, _product, denominator_primes, is_rational
+from .numberfield import CyclotomicElement, FieldTag, _product, is_rational, prime_divisors
 from .qseries import QExpansion, exp_from_logderiv, first_disagreement
 from .subgroup import GroupDescriptor, kappa
 
@@ -425,12 +425,15 @@ def denominator_prime_report(f: PGMF) -> DenominatorReport:
     """Primes dividing any known coefficient denominator.
 
     Over a cyclotomic field the primes of the power-basis coordinate
-    denominators are reported instead, flagged as such.
+    denominators are reported instead, flagged as such.  Each distinct
+    reduced denominator is factored on its own: their lcm, the stored
+    denominator, may be a product of primes too tall to split by trial
+    division.
     """
     e = f.expansion
-    rational = e.field.is_rational_field
-    coords = e.coeffs if rational else [x for c in e.coeffs for x in c.coords]
-    return DenominatorReport(frozenset().union(*map(denominator_primes, coords)), not rational)
+    dens = {e.den // gcd(e.den, x) for x in e.nums}
+    primes = frozenset(p for d in dens for p in prime_divisors(d))
+    return DenominatorReport(primes, not e.field.is_rational_field)
 
 
 # ----------------------------------------------------------------------

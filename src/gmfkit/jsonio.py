@@ -2,10 +2,14 @@
 
 Integers inside rationals are carried as decimal strings so round trips
 are bit-exact; emission is canonical (sorted keys, fixed indentation), so
-re-emitting a re-parsed document reproduces it byte for byte.  Integers
-past the interpreter's int/str digit limit are written and read through
-``decimal`` rather than by raising that process-wide limit; reading takes
-at most ``MAX_RATIONAL_DIGITS`` digits per integer.
+re-emitting a re-parsed document reproduces it byte for byte.  A series'
+text is read and written straight from its stored integer form (the
+coordinates ``nums`` over one denominator ``den``): each coordinate is
+written reduced by one gcd with ``den``, and the coordinates read are put
+over the lcm of their denominators, so no field element is built on either
+side.  Integers past the interpreter's int/str digit limit are written and
+read through ``decimal`` rather than by raising that process-wide limit;
+reading takes at most ``MAX_RATIONAL_DIGITS`` digits per integer.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import MalformedInputError
 from .numberfield import RATIONAL, CyclotomicElement, FieldTag
@@ -60,34 +65,55 @@ def _text_int(digits: str) -> int:
         return int(Decimal(digits))
 
 
+def _ratio_text(num: int, den: int) -> str:
+    """``num / den`` (den > 0) in lowest terms, as ``"p"`` or ``"p/q"``."""
+    g = gcd(num, den)
+    if g == den:
+        return _int_text(num // den)
+    return f"{_int_text(num // g)}/{_int_text(den // g)}"
+
+
 def format_rational(x) -> str:
     x = Fraction(x)
-    if x.denominator == 1:
-        return _int_text(x.numerator)
-    return f"{_int_text(x.numerator)}/{_int_text(x.denominator)}"
+    return _ratio_text(x.numerator, x.denominator)
 
 
-def parse_rational(text) -> Fraction:
+def _read_ratio(text):
+    """(numerator, denominator > 0) of a rational as JSON carries it: a JSON
+    integer or a string ``"p"``, ``"p/q"`` or a decimal, not necessarily in
+    lowest terms."""
     if type(text) is int:  # JSON true is not a coefficient
-        return Fraction(text)
+        return text, 1
     if not isinstance(text, str):
         raise MalformedInputError(f"expected a rational string, got {text!r}")
     plain = text.replace("−", "-")
     match = _RATIONAL.fullmatch(plain)
-    if match is None and "e" in plain.lower():
-        # Fraction would expand an exponent such as "1e2000000000" into all its digits
-        raise MalformedInputError(f"bad rational {text[:40]!r}: exponent notation")
-    if match is not None and max(map(len, match.groups(""))) > MAX_RATIONAL_DIGITS:
+    if match is None:
+        if "e" in plain.lower():
+            # Fraction would expand an exponent such as "1e2000000000" into all its digits
+            raise MalformedInputError(f"bad rational {text[:40]!r}: exponent notation")
+    elif len(plain) > MAX_RATIONAL_DIGITS and max(map(len, match.groups(""))) > MAX_RATIONAL_DIGITS:
         raise MalformedInputError(
             f"bad rational {text[:40]!r}...: more than {MAX_RATIONAL_DIGITS} digits"
         )
     try:
         if match is None:  # decimals such as "0.25"
-            return Fraction(plain.strip())
-        sign, num, den = match.groups("1")
-        return Fraction(_text_int(sign + num), _text_int(den))
+            x = Fraction(plain.strip())
+            return x.numerator, x.denominator
+        sign, num, den = match.groups()
+        num = _text_int(sign + num)
+        if den is None:
+            return num, 1
+        den = _text_int(den)
+        if not den:
+            raise ZeroDivisionError(f"Fraction({num}, 0)")  # as Fraction words it
+        return num, den
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedInputError(f"bad rational {text!r}: {exc}") from None
+
+
+def parse_rational(text) -> Fraction:
+    return Fraction(*_read_ratio(text))
 
 
 def field_to_obj(tag: FieldTag) -> dict:
@@ -109,32 +135,38 @@ def field_from_obj(obj) -> FieldTag:
     raise MalformedInputError(f"unknown field kind {obj['kind']!r}")
 
 
-def element_to_obj(value, tag: FieldTag):
+def _coordinates(obj, tag: FieldTag):
+    """(numerator, denominator) of each power-basis coordinate of one
+    coefficient read from JSON; over Q(zeta_m) a lone rational is the first
+    coordinate."""
     if tag.is_rational_field:
-        return format_rational(value)
-    value = tag.coerce(value)
-    return [format_rational(c) for c in value.coords]
-
-
-def element_from_obj(obj, tag: FieldTag):
-    if tag.is_rational_field:
-        return parse_rational(obj)
+        return [_read_ratio(obj)]
     if isinstance(obj, (str, int)):
-        return CyclotomicElement.from_rational(tag.conductor, parse_rational(obj))
+        return [_read_ratio(obj)] + [(0, 1)] * (tag.degree - 1)
     if not isinstance(obj, list):
         raise MalformedInputError(f"bad cyclotomic coefficient {obj!r}")
     if len(obj) != tag.degree:
         raise MalformedInputError(f"expected {tag.degree} coordinates, got {len(obj)}")
-    return CyclotomicElement(tag.conductor, [parse_rational(c) for c in obj])
+    return [_read_ratio(c) for c in obj]
+
+
+def element_from_obj(obj, tag: FieldTag):
+    coords = [Fraction(*c) for c in _coordinates(obj, tag)]
+    return coords[0] if tag.is_rational_field else CyclotomicElement(tag.conductor, coords)
 
 
 def series_to_obj(f: QExpansion) -> dict:
+    den = f.den
+    texts = [_ratio_text(x, den) for x in f.nums]
+    if not f.field.is_rational_field:
+        deg = f.field.degree
+        texts = [texts[i : i + deg] for i in range(0, len(texts), deg)]
     return {
         "level": f.level,
         "lead": f.lead,
         "precision": f.precision,
         "field": field_to_obj(f.field),
-        "coeffs": [element_to_obj(c, f.field) for c in f.coeffs],
+        "coeffs": texts,
     }
 
 
@@ -156,12 +188,17 @@ def series_from_obj(obj) -> QExpansion:
         raise MalformedInputError("level, lead and precision must be integers")
     tag = field_from_obj(obj["field"])
     coeffs = require_json(obj["coeffs"], list, "series coeffs must be a JSON array")
-    coeffs = [element_from_obj(c, tag) for c in coeffs]
+    ratios = [r for c in coeffs for r in _coordinates(c, tag)]
     if len(coeffs) != precision - lead:
         raise MalformedInputError(
             f"{len(coeffs)} coefficients do not fill the window [{lead}, {precision})"
         )
-    return QExpansion(level, lead, coeffs, precision, tag)
+    den = 1
+    for _, d in ratios:
+        if den % d:
+            den = lcm(den, d)
+    nums = [n if d == den else n * (den // d) for n, d in ratios]
+    return QExpansion._from_integers(level, lead, nums, den, precision, tag)
 
 
 def check_entry(name: str, passed, failure: str, success: str | None = None) -> dict:

@@ -394,11 +394,6 @@ def is_rational(a):
     return True, a.coords[0]
 
 
-def denominator_primes(r) -> frozenset:
-    """The set of primes dividing the denominator of a rational."""
-    return frozenset(prime_divisors(Fraction(r).denominator))
-
-
 @dataclass(frozen=True)
 class FieldTag:
     """Coefficient-domain marker: Q when conductor is None, else Q(zeta_m).

@@ -21,9 +21,12 @@ Stored form.  A series holds its coefficients as integers: ``nums`` lists
 the power-basis coordinates of coefficients lead .. precision-1 in turn
 (one per coefficient over Q, phi(m) over Q(zeta_m)) over one denominator
 ``den > 0``, kept canonical, gcd(den, *nums) == 1, so that equal series
-have equal (nums, den).  The constructor is the one place elements become
-this form; every kernel reads and returns (nums, den), and ``coeffs``
-builds the field elements only when read (``coeff(n)`` builds one).
+have equal (nums, den).  ``__init__`` is the one place elements become
+this form, and ``_from_integers`` builds a series from integer coordinates
+over any positive denominator (the JSON reader's integers, never field
+elements), made canonical as a kernel's result is; every kernel reads and
+returns (nums, den), and ``coeffs`` builds the field elements only when
+read (``coeff(n)`` builds one).
 
 Kernels.  Every kernel runs on integers, over Q and over Q(zeta_m) alike;
 Q is the degree-1 case, where a coefficient is one coordinate and nothing
@@ -72,20 +75,33 @@ class QExpansion:
     __slots__ = ("level", "lead", "precision", "field", "nums", "den", "_coeffs")
 
     def __init__(self, level, lead, coeffs, precision=None, field=RATIONAL):
-        if not isinstance(level, int) or level < 1:
-            raise BadLevelError(f"level must be a positive integer, got {level!r}")
         coeffs = [field.coerce(c) for c in coeffs]
         if precision is None:
             precision = lead + len(coeffs)
-        window = precision - lead
-        if window < len(coeffs):
+        self._fill(level, lead, *_integer_form(coeffs), precision, field)
+
+    @classmethod
+    def _from_integers(cls, level, lead, nums, den, precision, field):
+        """The series whose coordinates from exponent lead on are the
+        integers ``nums`` over ``den > 0``: the constructor for coordinates
+        that are integers already, as ``jsonio`` reads them from text."""
+        series = cls.__new__(cls)
+        series._fill(level, lead, nums, den, precision, field)
+        return series
+
+    def _fill(self, level, lead, nums, den, precision, field):
+        """``_store`` the coordinates ``nums`` of exponents lead on, padded
+        with zeros to the window lead .. precision-1."""
+        if not isinstance(level, int) or level < 1:
+            raise BadLevelError(f"level must be a positive integer, got {level!r}")
+        deg = field.degree
+        window = (precision - lead) * deg
+        if window < len(nums):
             raise PrecisionError(
-                f"{len(coeffs)} coefficients do not fit in window [{lead}, {precision})"
+                f"{len(nums) // deg} coefficients do not fit in window [{lead}, {precision})"
             )
-        nums, den = _integer_form(coeffs)
         # explicit padding: the caller asserts exact zeros
-        nums += [0] * ((window - len(coeffs)) * field.degree)
-        self._store(level, lead, nums, den, precision, field)
+        self._store(level, lead, nums + [0] * (window - len(nums)), den, precision, field)
 
     def _store(self, level, lead, nums, den, precision, field, reduced=False):
         """Set the series whose coordinates of exponents lead .. precision-1

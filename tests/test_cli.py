@@ -500,6 +500,24 @@ class TestAuxiliaryVerbs:
         obj = invoke_json(capsys, "denom-primes", "--f", str(path))
         assert obj["primes"] == [2, 3, 5] and obj["from_cyclotomic_coordinates"] is False
 
+    def test_two_tall_prime_denominators_promptly(self, tmp_path):
+        # The stored denominator is their product, a 62-bit semiprime that
+        # trial division would not split in any reasonable time, so each
+        # coordinate's own denominator is factored.  In a child under a time
+        # limit, so that factoring the product fails the test instead of
+        # stalling it.
+        p, q = 2**31 - 1, 2147483629
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"level": 1, "lead": 0, "precision": 3,
+                                    "field": {"kind": "rational"}, "coeffs": ["1", f"1/{p}", f"3/{q}"]}))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gmfkit.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gmfkit.cli", "denom-primes", "--f", str(path)],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert json.loads(proc.stdout) == {"primes": [q, p], "from_cyclotomic_coordinates": False}
+
     def test_k_op_fixes_rational(self, capsys, f11_path):
         obj = invoke_json(capsys, "k-op", "--f", f11_path, "--group", "gamma0:11")
         assert obj["coeffs"][:3] == ["1", "-2", "-1"]

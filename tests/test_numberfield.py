@@ -14,7 +14,6 @@ from gmfkit.numberfield import (
     FieldTag,
     conjugate,
     cyclotomic_polynomial,
-    denominator_primes,
     euler_phi,
     galois_apply,
     is_rational,
@@ -173,13 +172,13 @@ class TestIsRational:
 
 class TestDenominatorPrimes:
     def test_three_tenths(self):
-        assert denominator_primes(F(3, 10)) == {2, 5}
+        assert prime_divisors(F(3, 10).denominator) == [2, 5]
 
     def test_integer(self):
-        assert denominator_primes(F(7)) == frozenset()
+        assert prime_divisors(F(7).denominator) == []
 
     def test_negative(self):
-        assert denominator_primes(F(-22, 45)) == {3, 5}
+        assert prime_divisors(F(-22, 45).denominator) == [3, 5]
 
 
 # ----------------------------------------------------------------------

@@ -133,3 +133,19 @@ def test_one_element_to_integer_conversion():
     # again, neither through the conversion nor through its rational helper
     assert callers("_integer_form") == ["qseries.QExpansion.__init__"]
     assert [c for c in callers("_over_lcm") if c.startswith("qseries.")] == []
+
+
+def test_series_json_builds_no_elements():
+    # series text goes straight to and from the stored integer form: the
+    # reader and writer neither read a series' elements nor build any
+    tree = ast.parse((Path(gmfkit.__file__).parent / "jsonio.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    builders = {"Fraction", "CyclotomicElement"}
+    found = [
+        f"{name}:{node.lineno}"
+        for name in ("series_to_obj", "series_from_obj")
+        for node in ast.walk(functions[name])
+        if isinstance(node, ast.Attribute) and node.attr in builders | {"coeffs"}
+        or isinstance(node, ast.Name) and node.id in builders
+    ]
+    assert found == []
