@@ -5,10 +5,11 @@ are bit-exact; emission is canonical (sorted keys, fixed indentation), so
 re-emitting a re-parsed document reproduces it byte for byte.  A series'
 text is read and written straight from its stored integer form (the
 coordinates ``nums`` over one denominator ``den``): each coordinate is
-written reduced by one gcd with ``den``, and the coordinates read are put
-over the lcm of their denominators, so no field element is built on either
-side.  Integers past the interpreter's int/str digit limit are written and
-read through ``decimal`` rather than by raising that process-wide limit;
+written reduced by one gcd with ``den``, and the coordinates read, each in
+lowest terms, are put over the lcm of their denominators, which is
+canonical as it stands, so no field element is built on either side.
+Integers past the interpreter's int/str digit limit are written and read
+through ``decimal`` rather than by raising that process-wide limit;
 reading takes at most ``MAX_RATIONAL_DIGITS`` digits per integer.
 """
 
@@ -19,10 +20,10 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import MalformedInputError
-from .numberfield import RATIONAL, CyclotomicElement, FieldTag
+from .numberfield import RATIONAL, CyclotomicElement, FieldTag, _over_lcm
 from .qseries import QExpansion
 
 # Digits of one integer in a rational read from JSON (a cap, so that an
@@ -34,8 +35,9 @@ _RATIONAL = re.compile(r"\s*([+-]?)(\d+)(?:/(\d+))?\s*")
 
 
 def load_json_file(path):
-    """Parse a JSON file (``-`` reads stdin); an unreadable file or
-    invalid JSON raises MalformedInputError."""
+    """Parse a JSON file (``-`` reads stdin); an unreadable file, invalid
+    JSON or JSON nested past the decoder's recursion limit raises
+    MalformedInputError."""
     try:
         if path == "-":
             return json.load(sys.stdin)
@@ -43,6 +45,8 @@ def load_json_file(path):
             return json.load(handle)
     except json.JSONDecodeError as exc:
         raise MalformedInputError(f"{path}: not valid JSON ({exc})") from None
+    except RecursionError:
+        raise MalformedInputError(f"{path}: JSON nested too deeply") from None
     except OSError as exc:
         raise MalformedInputError(f"{path}: {exc.strerror or exc}") from None
 
@@ -79,9 +83,9 @@ def format_rational(x) -> str:
 
 
 def _read_ratio(text):
-    """(numerator, denominator > 0) of a rational as JSON carries it: a JSON
-    integer or a string ``"p"``, ``"p/q"`` or a decimal, not necessarily in
-    lowest terms."""
+    """(numerator, denominator > 0) in lowest terms of a rational as JSON
+    carries it: a JSON integer or a string ``"p"``, ``"p/q"`` or a
+    decimal."""
     if type(text) is int:  # JSON true is not a coefficient
         return text, 1
     if not isinstance(text, str):
@@ -107,7 +111,8 @@ def _read_ratio(text):
         den = _text_int(den)
         if not den:
             raise ZeroDivisionError(f"Fraction({num}, 0)")  # as Fraction words it
-        return num, den
+        g = gcd(num, den)
+        return num // g, den // g
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedInputError(f"bad rational {text!r}: {exc}") from None
 
@@ -193,12 +198,7 @@ def series_from_obj(obj) -> QExpansion:
         raise MalformedInputError(
             f"{len(coeffs)} coefficients do not fill the window [{lead}, {precision})"
         )
-    den = 1
-    for _, d in ratios:
-        if den % d:
-            den = lcm(den, d)
-    nums = [n if d == den else n * (den // d) for n, d in ratios]
-    return QExpansion._from_integers(level, lead, nums, den, precision, tag)
+    return QExpansion._from_integers(level, lead, *_over_lcm(ratios), precision, tag)
 
 
 def check_entry(name: str, passed, failure: str, success: str | None = None) -> dict:

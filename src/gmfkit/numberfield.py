@@ -21,7 +21,9 @@ case, with modulus Phi_1 = x - 1: the tag reduces integer slots mod its
 modulus and builds elements from integer coordinates, so the series kernels
 in ``qseries`` run one integer code path over Q and over Q(zeta_m) alike.
 ``_integer_form`` writes a list of elements as those integer coordinates
-over one common denominator.
+over one common denominator, their lcm, through ``_over_lcm``, which takes
+(numerator, denominator) pairs, so that the JSON reader puts the
+coordinates it reads from text over the same lcm.
 """
 
 from __future__ import annotations
@@ -147,25 +149,25 @@ def _kronecker(a, b, size, width):
     ]
 
 
-def _over_lcm(rationals):
-    """(numerators, d) with rationals[i] == numerators[i] / d, d the lcm of
-    their denominators.  The highest power of each prime of d divides some
-    denominator whose numerator it does not divide, so gcd(d, *numerators)
-    is 1."""
+def _over_lcm(ratios):
+    """(numerators, d) with n / e == numerators[i] / d for the i-th pair
+    (n, e > 0) of ``ratios``, d the lcm of the e.  When every pair is in
+    lowest terms, the highest power of each prime of d divides some e
+    whose n it does not divide, so gcd(d, *numerators) is 1."""
     d = 1
-    for c in rationals:
-        if d % c.denominator:
-            d = math.lcm(d, c.denominator)
+    for _, e in ratios:
+        if d % e:
+            d = math.lcm(d, e)
     if d == 1:
-        return [c.numerator for c in rationals], 1
-    return [c.numerator * (d // c.denominator) for c in rationals], d
+        return [n for n, _ in ratios], 1
+    return [n if e == d else n * (d // e) for n, e in ratios], d
 
 
 def _integer_form(elements):
     """(nums, d): the power-basis coordinates of a list of rationals or of
     elements of one Q(zeta_m), flattened in turn, as integers over their
     lcm denominator d, with gcd(d, *nums) == 1."""
-    return _over_lcm([x for c in elements for x in getattr(c, "coords", (c,))])
+    return _over_lcm([x.as_integer_ratio() for c in elements for x in getattr(c, "coords", (c,))])
 
 
 def _times(a, b, m):
@@ -303,8 +305,8 @@ class CyclotomicElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, da = _over_lcm(self.coords)
-        b, db = _over_lcm(other.coords)
+        a, da = _over_lcm([c.as_integer_ratio() for c in self.coords])
+        b, db = _over_lcm([c.as_integer_ratio() for c in other.coords])
         den = da * db
         prod = _times(a, b, self.conductor)
         return CyclotomicElement(self.conductor, [Fraction(c, den) for c in prod])
@@ -317,7 +319,7 @@ class CyclotomicElement:
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
         # on integer coordinates: for self = a / d, 1 / self = d (others) / N(a)
-        a, d = _over_lcm(self.coords)
+        a, d = _over_lcm([c.as_integer_ratio() for c in self.coords])
         others, norm = _inverse_coords(a, self.conductor)
         return CyclotomicElement(self.conductor, [Fraction(d * c, norm) for c in others])
 

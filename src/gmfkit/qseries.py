@@ -20,13 +20,15 @@ precision):
 Stored form.  A series holds its coefficients as integers: ``nums`` lists
 the power-basis coordinates of coefficients lead .. precision-1 in turn
 (one per coefficient over Q, phi(m) over Q(zeta_m)) over one denominator
-``den > 0``, kept canonical, gcd(den, *nums) == 1, so that equal series
-have equal (nums, den).  ``__init__`` is the one place elements become
-this form, and ``_from_integers`` builds a series from integer coordinates
-over any positive denominator (the JSON reader's integers, never field
-elements), made canonical as a kernel's result is; every kernel reads and
-returns (nums, den), and ``coeffs`` builds the field elements only when
-read (``coeff(n)`` builds one).
+``den > 0``, canonical, gcd(den, *nums) == 1, so that equal series have
+equal (nums, den).  The form is canonical as it is built, never checked
+afterwards: ``__init__`` puts the elements' coordinates over the lcm of
+their denominators, which is canonical, and ``_from_integers`` takes
+integers already in that form, from a kernel or from the JSON reader
+(which puts its reduced coordinates over the same lcm); both set the
+series through ``_store``, which pads the window and strips leading zeros.
+Every kernel reads and returns (nums, den), and ``coeffs`` builds the
+field elements only when read (``coeff(n)`` builds one).
 
 Kernels.  Every kernel runs on integers, over Q and over Q(zeta_m) alike;
 Q is the degree-1 case, where a coefficient is one coordinate and nothing
@@ -42,8 +44,10 @@ operands' lengths and bit lengths.  ``divide`` (and through it
 all solve one online recurrence, which keeps each coordinate of its
 unknowns as an integer over their running lcm denominator (already the
 canonical form) and forms each inner sum as phi(m)^2 integer dot products.
-A result that may share a factor with its denominator, such as a product,
-a sum or a truncation, is reduced by one running gcd that stops at 1.
+The four kernels whose result may share a factor with its denominator,
+``truncate``, ``+``, ``*`` and ``scale``, divide it out with one running
+gcd that stops at 1 (``_lowest``); every other result is canonical as
+computed.
 """
 
 from __future__ import annotations
@@ -61,12 +65,17 @@ from .errors import (
 )
 from .numberfield import RATIONAL, FieldTag, _convolve, _galois, _integer_form, _inverse_coords
 from .numberfield import _power, _times
-from .numberfield import _dot_products, _kronecker  # noqa: F401  (for the kernel tests)
 
 # Cap on the exponent window a spread (rescale_level, substitute_power) may
 # allocate, and on what an eta expansion may be asked for (etaforms).  It
 # lies far above every shipped or documented use (24 * 500 exponents).
 MAX_TERMS = 100_000
+
+# Cap on the estimated bit height of the coefficients of a power f ** m,
+# numerator and denominator together: writing one such coefficient as
+# decimal text takes seconds.  Every eta factor (prod (1 - q^n) or its
+# inverse to at most MAX_TERMS terms, to a power |r| <= 1,000) stays below.
+MAX_POWER_BITS = 1 << 21
 
 
 class QExpansion:
@@ -78,69 +87,53 @@ class QExpansion:
         coeffs = [field.coerce(c) for c in coeffs]
         if precision is None:
             precision = lead + len(coeffs)
-        self._fill(level, lead, *_integer_form(coeffs), precision, field)
+        self._store(level, lead, *_integer_form(coeffs), precision, field)
 
     @classmethod
     def _from_integers(cls, level, lead, nums, den, precision, field):
         """The series whose coordinates from exponent lead on are the
-        integers ``nums`` over ``den > 0``: the constructor for coordinates
-        that are integers already, as ``jsonio`` reads them from text."""
+        integers ``nums`` over ``den > 0``, with gcd(den, *nums) == 1: the
+        constructor of every kernel result and of ``jsonio``'s series."""
         series = cls.__new__(cls)
-        series._fill(level, lead, nums, den, precision, field)
+        series._store(level, lead, nums, den, precision, field)
         return series
 
-    def _fill(self, level, lead, nums, den, precision, field):
-        """``_store`` the coordinates ``nums`` of exponents lead on, padded
-        with zeros to the window lead .. precision-1."""
+    def _store(self, level, lead, nums, den, precision, field):
+        """Set the series whose coordinates from exponent lead on are
+        ``nums`` over ``den``, padded with zeros to the window lead ..
+        precision-1, its leading zeros stripped."""
         if not isinstance(level, int) or level < 1:
             raise BadLevelError(f"level must be a positive integer, got {level!r}")
         deg = field.degree
-        window = (precision - lead) * deg
-        if window < len(nums):
+        pad = (precision - lead) * deg - len(nums)
+        if pad < 0:
             raise PrecisionError(
                 f"{len(nums) // deg} coefficients do not fit in window [{lead}, {precision})"
             )
-        # explicit padding: the caller asserts exact zeros
-        self._store(level, lead, nums + [0] * (window - len(nums)), den, precision, field)
-
-    def _store(self, level, lead, nums, den, precision, field, reduced=False):
-        """Set the series whose coordinates of exponents lead .. precision-1
-        are ``nums`` over ``den > 0``: strip leading zeros and, unless the
-        caller knows gcd(den, *nums) == 1 (``reduced``), divide it out."""
         strip = 0
         while strip < len(nums) and not nums[strip]:
             strip += 1
         if strip == len(nums):
             lead, nums, den = precision, (), 1
         else:
-            skip = strip // field.degree
-            if skip:
-                lead += skip
-                nums = nums[skip * field.degree :]
-            g = 1 if reduced else den
-            for x in nums:
-                if g == 1:
-                    break
-                if x % g:
-                    g = gcd(g, x)
-            if g > 1:
-                nums = [x // g for x in nums]
-                den //= g
+            skip = strip // deg
+            lead += skip
+            # explicit padding: the caller asserts exact zeros
+            nums = tuple(nums[skip * deg :]) + (0,) * pad
         self.level = level
         self.lead = lead
         self.precision = precision
         self.field = field
-        self.nums = tuple(nums)
+        self.nums = nums
         self.den = den
         self._coeffs = None
 
-    def _like(self, lead, nums, den, precision, reduced=False, level=None, field=None):
-        """The kernels' constructor: the series of this level and field
-        (unless given) with integer coordinates ``nums`` over ``den``."""
-        series = QExpansion.__new__(QExpansion)
+    def _like(self, lead, nums, den, precision, level=None, field=None):
+        """A kernel result: the series of this level and field (unless
+        given) with integer coordinates ``nums`` over ``den``, in lowest
+        terms."""
         level, field = level or self.level, field or self.field
-        series._store(level, lead, nums, den, precision, field, reduced)
-        return series
+        return QExpansion._from_integers(level, lead, nums, den, precision, field)
 
     # ------------------------------------------------------------------
     # constructors
@@ -207,7 +200,7 @@ class QExpansion:
         if precision <= self.lead:
             return QExpansion.zero(self.level, precision, self.field)
         size = (precision - self.lead) * self.field.degree
-        return self._like(self.lead, self.nums[:size], self.den, precision)
+        return self._like(self.lead, *_lowest(self.nums[:size], self.den), precision)
 
     def _require_compatible(self, other):
         if not isinstance(other, QExpansion):
@@ -232,11 +225,11 @@ class QExpansion:
         a, b = self._window(lead, precision), other._window(lead, precision)
         sa, sb = den // self.den, den // other.den
         out = [x * sa + y * sb for x, y in zip(a, b)]
-        return self._like(lead, out, den, precision)
+        return self._like(lead, *_lowest(out, den), precision)
 
     def __neg__(self):
         negated = [-x for x in self.nums]
-        return self._like(self.lead, negated, self.den, self.precision, reduced=True)
+        return self._like(self.lead, negated, self.den, self.precision)
 
     def __sub__(self, other):
         return self + (-other)
@@ -249,7 +242,7 @@ class QExpansion:
         lead = self.lead + other.lead
         size = (precision - lead) * self.field.degree
         out = _convolved(self.nums[:size], other.nums[:size], precision - lead, self.field)
-        return self._like(lead, out, self.den * other.den, precision)
+        return self._like(lead, *_lowest(out, self.den * other.den), precision)
 
     def scale(self, scalar) -> "QExpansion":
         """Multiply every coefficient by a fixed field element."""
@@ -259,11 +252,11 @@ class QExpansion:
         if self.is_zero:
             return self
         out = _convolved(self.nums, c.nums, self.relative_precision, self.field)
-        return self._like(self.lead, out, self.den * c.den, self.precision)
+        return self._like(self.lead, *_lowest(out, self.den * c.den), self.precision)
 
     def shift(self, k: int) -> "QExpansion":
         """Multiply by q_N^k (shift all exponents by k)."""
-        return self._like(self.lead + k, self.nums, self.den, self.precision + k, reduced=True)
+        return self._like(self.lead + k, self.nums, self.den, self.precision + k)
 
     def inverse(self, target_precision=None) -> "QExpansion":
         """Multiplicative inverse; lead -h, precision min(target, P - 2h)."""
@@ -293,7 +286,7 @@ class QExpansion:
         nums, den = _recurrence(
             self.nums[:size], self.den, other.nums[:size], other.den, precision - lead, self.field
         )
-        return self._like(lead, nums, den, precision, reduced=True)
+        return self._like(lead, nums, den, precision)
 
     def __pow__(self, m):
         if not isinstance(m, int):
@@ -304,6 +297,14 @@ class QExpansion:
             return QExpansion.one(self.level, self.relative_precision, self.field)
         if m < 0:
             return self.inverse() ** (-m)
+        # each integer coordinate of f ** m over den ** m is at most
+        # (sum |nums|) ** m, which is tight at small m
+        bits = m * ((sum(map(abs, self.nums)) * self.den).bit_length() - 1)
+        if m > 1 and bits > MAX_POWER_BITS:
+            raise PrecisionError(
+                f"f ** {m} would have coefficients of up to about {bits} bits, "
+                f"past the cap of {MAX_POWER_BITS}"
+            )
         return _power(self, m)
 
     # ------------------------------------------------------------------
@@ -322,7 +323,7 @@ class QExpansion:
         theta = [(h + i // deg) * x for i, x in enumerate(self.nums)]
         terms = self.relative_precision
         nums, den = _recurrence(theta, self.den, self.nums, self.den, terms, self.field)
-        return self._like(0, nums, den, terms, reduced=True)
+        return self._like(0, nums, den, terms)
 
     # ------------------------------------------------------------------
     # level changes
@@ -358,7 +359,7 @@ class QExpansion:
                 )
         if self.lead % c != 0:
             raise BadLevelError(f"lead {self.lead} is not a multiple of {c}")
-        return self._like(self.lead // c, out, self.den, precision, reduced=True, level=new_level)
+        return self._like(self.lead // c, out, self.den, precision, level=new_level)
 
     def substitute_power(self, d: int) -> "QExpansion":
         """Replace q by q^d at the same level (z -> d z on expansions)."""
@@ -382,7 +383,7 @@ class QExpansion:
             )
         out = _strided(self.nums, self.field.degree, c * self.field.degree)
         precision = c * self.precision
-        return self._like(c * self.lead, out, self.den, precision, reduced=True, level=level)
+        return self._like(c * self.lead, out, self.den, precision, level=level)
 
     # ------------------------------------------------------------------
     # coefficient field maps
@@ -395,7 +396,7 @@ class QExpansion:
         nums = self.nums
         out = [x for i in range(0, len(nums), deg) for x in _galois(nums[i : i + deg], k, m)]
         # an integer map whose inverse (k^-1) is one too keeps gcd(den, *nums)
-        return self._like(self.lead, out, self.den, self.precision, reduced=True)
+        return self._like(self.lead, out, self.den, self.precision)
 
     def conjugate_coeffs(self) -> "QExpansion":
         """Complex-conjugate every coefficient (zeta -> zeta^(-1))."""
@@ -410,7 +411,7 @@ class QExpansion:
                 f"no promotion from {self.field!r} to {field!r}"
             )
         out = _strided(self.nums, 1, field.degree)
-        return self._like(self.lead, out, self.den, self.precision, reduced=True, field=field)
+        return self._like(self.lead, out, self.den, self.precision, field=field)
 
     def as_rational_series(self) -> "QExpansion":
         """Retag with Q; every coefficient must be rational-valued."""
@@ -423,7 +424,7 @@ class QExpansion:
                     f"coefficient at exponent {self.lead + i // deg} is not rational"
                 )
         out = self.nums[::deg]
-        return self._like(self.lead, out, self.den, self.precision, reduced=True, field=RATIONAL)
+        return self._like(self.lead, out, self.den, self.precision, field=RATIONAL)
 
     # ------------------------------------------------------------------
 
@@ -484,7 +485,7 @@ def exp_from_logderiv(g: QExpansion, target_precision: int) -> QExpansion:
     nums, den = _recurrence(
         one, 1, one_minus_b.nums, one_minus_b.den, precision, field, by_index=True
     )
-    return g._like(0, nums, den, precision, reduced=True)
+    return g._like(0, nums, den, precision)
 
 
 def first_disagreement(f: QExpansion, g: QExpansion):
@@ -493,6 +494,21 @@ def first_disagreement(f: QExpansion, g: QExpansion):
     f - g, whose leading zeros the stored form strips."""
     diff = f - g
     return None if diff.is_zero else diff.lead
+
+
+def _lowest(nums, den):
+    """(nums, den) with gcd(den, *nums) divided out, found by a running gcd
+    that stops at 1: for the results that may share a factor with their
+    denominator (a truncation, a sum, a product, a scaling)."""
+    g = den
+    for x in nums:
+        if g == 1:
+            break
+        if x % g:
+            g = gcd(g, x)
+    if g > 1:
+        nums, den = [x // g for x in nums], den // g
+    return nums, den
 
 
 def _convolved(a, b, terms, field):

@@ -196,13 +196,16 @@ class TestSeriesVerbs:
         [
             (["1", "1e2000000000"], ["logderiv"], "malformed-input"),
             (["1"] * 38, ["rescale", "--level", "300000000"], "insufficient-precision"),
+            (["1/3", "1", "1"], ["pow", "--m", "3000000"], "insufficient-precision"),
+            (["1"] * 60, ["pow", "--m", str(10**100)], "insufficient-precision"),
         ],
-        ids=["exponent-notation", "spread-cap"],
+        ids=["exponent-notation", "spread-cap", "pow-tall-lead", "pow-huge-exponent"],
     )
     def test_outsized_input_refused_promptly(self, tmp_path, coeffs, argv, kind):
         # In a child under a 1 GiB address-space limit and a time limit, so
-        # that building 10**2000000000 or a 300-million-entry window fails
-        # the test instead of stalling the machine.
+        # that building 10**2000000000, a 300-million-entry window or a
+        # power with 5-million-bit coefficients fails the test instead of
+        # stalling the machine.
         path = tmp_path / "f.json"
         path.write_text(json.dumps({"level": 1, "lead": 0, "precision": len(coeffs),
                                     "field": {"kind": "rational"}, "coeffs": coeffs}))
@@ -655,6 +658,29 @@ class TestInputShapes:
         dec_path.write_text(json.dumps(dict(dec, basis_coords="3")))
         self.refused(capsys, ["verify", "--f", f_path, "--dec", str(dec_path), "--group", "gamma0:11"],
                      "malformed-input", "basis_coords must be a JSON array")
+
+    @pytest.mark.parametrize("depth", [1_000, 200_000])
+    @pytest.mark.parametrize("opener, core, closer", [("[", "", "]"), ('{"a": ', "1", "}")],
+                             ids=["array", "object"])
+    @pytest.mark.parametrize("loader", ["f", "prefix", "dec", "basis", "stdin"])
+    def test_nested_json(self, capsys, tmp_path, monkeypatch, f11_path, loader, opener, core,
+                         closer, depth):
+        # the JSON decoder recurses once per level and gives up at the
+        # interpreter's recursion limit
+        monkeypatch.chdir(tmp_path)
+        text = opener * depth + core + closer * depth
+        (tmp_path / "nested.json").write_text(text)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        argv = {
+            "f": ["logderiv", "--f", "nested.json"],
+            "prefix": ["certify", "--f", f11_path, "--group", "gamma0:11", "--prec", "60",
+                       "--prefix", "nested.json"],
+            "dec": ["verify", "--f", f11_path, "--dec", "nested.json", "--group", "gamma0:11"],
+            "basis": ["validate-basis", "--group", "gamma0:11", "--basis", "nested.json"],
+            "stdin": ["logderiv", "--f", "-"],
+        }[loader]
+        name = "-" if loader == "stdin" else "nested.json"
+        self.refused(capsys, argv, "malformed-input", f"{name}: JSON nested too deeply")
 
     @pytest.mark.parametrize("dec", [["f1", "f0", "g0", "basis_coords"], "f1 f0 g0 basis_coords", 3])
     def test_decomposition_not_an_object(self, capsys, tmp_path, f_dec_basis, dec):

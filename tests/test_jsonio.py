@@ -106,6 +106,22 @@ def test_odd_spellings(conductor):
     assert_read_back(obj, QExpansion(2, -1, elements + [0], len(coeffs), tag))
 
 
+@pytest.mark.parametrize("conductor", [None, 5])
+def test_unreduced_coordinates(conductor):
+    # every coordinate shares the factor 2 with its denominator 6, so that
+    # only the reduction of each coordinate read brings the lcm down to 3
+    tag = FieldTag(conductor)
+    coeffs = ["2/6", "4/6"]
+    if not tag.is_rational_field:
+        coeffs = [["2/6", "4/6", "-4/6", "0/6"], ["4/6", "2/6", "2/6", "-2/6"]]
+    elements = [F(c) if isinstance(c, str) else CyclotomicElement(5, [F(x) for x in c])
+                for c in coeffs]
+    obj = {"level": 1, "lead": 0, "precision": 2, "field": jsonio.field_to_obj(tag),
+           "coeffs": coeffs}
+    assert jsonio.series_from_obj(obj).den == 3
+    assert_read_back(obj, QExpansion(1, 0, elements, 2, tag))
+
+
 def fraction_error(num_text):
     """What Fraction says of the numerator ``num_text`` over 0."""
     try:

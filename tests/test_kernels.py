@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import reference_kernels as ref
 from gmfkit.errors import GmfError
-from gmfkit.numberfield import CyclotomicElement, FieldTag
-from gmfkit.qseries import QExpansion, _convolve, _dot_products, _kronecker, exp_from_logderiv
+from gmfkit.numberfield import CyclotomicElement, FieldTag, _convolve, _dot_products, _kronecker
+from gmfkit.qseries import QExpansion, exp_from_logderiv
 
 SMALL = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 3))
 # about 3 kbit of numerator and up to 3 kbit of denominator

@@ -14,8 +14,9 @@ from gmfkit.errors import (
     NotExponentiableError,
     PrecisionError,
 )
+from gmfkit.etaforms import euler_product
 from gmfkit.numberfield import CyclotomicElement, FieldTag
-from gmfkit.qseries import MAX_TERMS, QExpansion, exp_from_logderiv, first_disagreement
+from gmfkit.qseries import MAX_POWER_BITS, MAX_TERMS, QExpansion, exp_from_logderiv, first_disagreement
 
 TAG3 = FieldTag.cyclotomic(3)
 Z3 = CyclotomicElement.zeta(3)
@@ -195,6 +196,18 @@ class TestPow:
         f = qs(2, [1, 7], 9)
         assert (f ** 3).lead == 6
         assert (f ** -2).lead == -4
+
+    def test_height_cap(self):
+        # f and 1/f = 3 - 9q + ... both have sum |nums| * den of 4 bits, so
+        # the estimate m * 4 reaches the cap at m = MAX_POWER_BITS / 4
+        f = QExpansion(1, 0, [F(1, 3), 1, 1], 3)
+        top = MAX_POWER_BITS // 4
+        assert (f ** top).coeff(0) == F(1, 3**top)
+        for m in (top + 1, -top - 1, 10**100):
+            with pytest.raises(PrecisionError, match="past the cap"):
+                f ** m
+        # an eta factor at the exponent cap: 1 / prod (1 - q^n) to the 1000th
+        assert (euler_product(200) ** -1000).coeff(1) == 1000
 
 
 class TestLevelChanges:

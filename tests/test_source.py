@@ -105,25 +105,28 @@ def test_every_definition_has_a_caller():
     assert uncalled == []
 
 
-def callers(name):
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def callers(name, in_loop=False):
     """module.function (module.Class.method) of every call of ``name`` in
-    the package source."""
+    the package source, or only of those inside a loop or comprehension."""
     found = []
 
-    def visit(node, scope):
+    def visit(node, scope, looping):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                visit(child, scope + [child.name])
+                visit(child, scope + [child.name], False)
                 continue
-            if isinstance(child, ast.Call):
+            if isinstance(child, ast.Call) and (looping or not in_loop):
                 func = child.func
                 called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 if called == name:
                     found.append(".".join(scope))
-            visit(child, scope)
+            visit(child, scope, looping or isinstance(child, LOOPS))
 
     for path in SOURCES:
-        visit(ast.parse(path.read_text(encoding="utf-8")), [path.stem])
+        visit(ast.parse(path.read_text(encoding="utf-8")), [path.stem], False)
     return found
 
 
@@ -149,3 +152,26 @@ def test_series_json_builds_no_elements():
         or isinstance(node, ast.Name) and node.id in builders
     ]
     assert found == []
+
+
+def test_series_canonical_by_construction():
+    # a series is in lowest terms as it is built: one initializer behind the
+    # element and the integer constructors, every series allocated by the
+    # latter, no flag saying a form is reduced, and the running gcd only in
+    # the kernels whose result can share a factor with its denominator
+    assert sorted(callers("_store")) == ["qseries.QExpansion.__init__",
+                                         "qseries.QExpansion._from_integers"]
+    assert callers("__new__") == ["qseries.QExpansion._from_integers"]
+    assert sorted(callers("_lowest")) == [f"qseries.QExpansion.{name}" for name in
+                                          ("__add__", "__mul__", "scale", "truncate")]
+    flagged = [
+        f"{path.stem}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.Lambda))
+        and "reduced" in {a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs}
+    ]
+    assert flagged == []
+    # one lcm of denominators, shared by elements and JSON text
+    assert callers("lcm", in_loop=True) == ["numberfield._over_lcm"]
+    assert {"numberfield._integer_form", "jsonio.series_from_obj"} <= set(callers("_over_lcm"))
