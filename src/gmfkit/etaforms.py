@@ -1,12 +1,12 @@
 """Dedekind eta expansions, eta quotients, and weight-2 cusp form bases.
 
 The eta function is never stored as data: everything regenerates from the
-pentagonal-number expansion of the Euler product prod (1 - q^n).  An eta
-quotient prod eta(d z)^(r_d) on ambient level N naturally lives at level
-24 N; its exponent support is an arithmetic progression of stride 24 N,
-so the expansion is assembled from unit series at level 1 and re-expanded
-at the coarsest level that accommodates the lead, which lands classical
-integer-weight quotients (like the shipped basis forms) at level 1.
+pentagonal-number expansion of the Euler product E = prod (1 - q^n).  An
+eta quotient prod eta(d z)^(r_d) is q_24^s, s = sum d r_d, times a unit
+series in q = q_1, so it lives at level 24 / gcd(24, s), which lands
+classical quotients (like the shipped basis forms) at level 1; the
+ambient level N only bounds which divisors d may occur.  Each factor
+E(q^d)^r is E powered at its own length and only then spread d-fold.
 
 The shipped basis catalogue covers the genus-one Gamma_0(N) whose
 one-dimensional space of weight-2 cusp forms is spanned by a known eta
@@ -31,7 +31,7 @@ from .errors import (
 from .linalg import rank
 from .numberfield import _product
 from .qseries import MAX_TERMS, QExpansion
-from .subgroup import GAMMA, GAMMA0, GAMMA1, GroupDescriptor, kappa
+from .subgroup import GAMMA, GAMMA0, GAMMA1, GroupDescriptor, invariants
 
 # Caps on what an eta expansion may be asked for, far above every shipped
 # or documented use (24 * 500 exponents, sum |r_d| = 48), so that an
@@ -131,40 +131,37 @@ def eta_quotient_expansion(eq: EtaQuotient, precision: int) -> QExpansion:
     """Expansion of an eta quotient, at the coarsest level its exponent
     lattice allows; ``precision`` counts in the units of that level.
 
-    At level L = 24 N the factor eta(d z)^r contributes lead N d r and
-    increments in 24 N Z, so the quotient is q_L^s * w(q_1) with
-    s = sum N d r_d and w a unit series at level 1.
+    With s = sum d r_d the quotient is q_24^s w(q) for a unit series w at
+    level 1, so it lives at level 24 / gcd(24, s) with lead s / gcd(24, s),
+    and each factor of w is expanded at the length that level needs.
     """
-    n = eq.ambient_level
-    big = 24 * n
-    s = sum(n * d * r for d, r in eq.terms)
-    step = math.gcd(big, s) if s else big
-    out_level = big // step
+    s = sum(d * r for d, r in eq.terms)
+    step = math.gcd(24, s)
+    out_level = 24 // step
     lead = s // step
     if precision <= lead:
         raise PrecisionError(
             f"precision {precision} does not reach past the lead exponent {lead}"
         )
-    _check_precision_cap(precision - min(lead, 0))
-    rel_terms = -(-(precision - lead) // out_level)
-    bucket = -(-rel_terms // 32) * 32  # quantized for factor reuse
-    factors = [_unit_factor(d, r, bucket).truncate(rel_terms) for d, r in eq.terms]
-    unit = _product(factors or [QExpansion.one(1, rel_terms)], mul)
-    return unit.rescale_level(out_level).shift(lead).truncate(precision)
-
-
-def _check_precision_cap(window: int):
+    window = precision - min(lead, 0)
     if window > MAX_ETA_PRECISION:
         raise PrecisionError(
             f"expansion window of {window} exponents exceeds the cap {MAX_ETA_PRECISION}"
         )
+    rel_terms = -(-(precision - lead) // out_level)
+    factors = [_unit_factor(d, r, rel_terms) for d, r in eq.terms]
+    unit = _product(factors or [QExpansion.one(1, rel_terms)], mul)
+    return unit.rescale_level(out_level).shift(lead).truncate(precision)
 
 
 @lru_cache(maxsize=512)
 def _unit_factor(d: int, r: int, terms: int) -> QExpansion:
-    """prod_k (1 - q^(d k))^r as a unit series at level 1."""
-    base = euler_product(-(-terms // d))
-    return base.substitute_power(d).truncate(terms) ** r
+    """prod_k (1 - q^(d k))^r to ``terms`` terms, a unit series at level 1.
+
+    The Euler product is powered at its own length, ceil(terms / d), and
+    only then spread d-fold: E(q^d)^r = (E^r)(q^d).
+    """
+    return (euler_product(-(-terms // d)) ** r).substitute_power(d).truncate(terms)
 
 
 # ----------------------------------------------------------------------
@@ -213,8 +210,8 @@ def shipped_quotient(level: int) -> EtaQuotient:
 
 def load_basis(group: GroupDescriptor, precision: int, path=None) -> CuspFormBasis:
     """Basis expansions at the requested precision, regenerated from the
-    shipped eta recipes or parsed from a data file; the leading-rank
-    invariant is validated on load."""
+    shipped eta recipes or parsed from a data file; the dimension (the
+    genus) and the leading-rank invariant are validated on load."""
     if path is not None:
         basis = _basis_from_file(group, precision, path)
     elif group.kind == GAMMA0 and group.level in _GENUS_ONE_ETA:
@@ -261,7 +258,8 @@ def validate_basis(basis: CuspFormBasis):
     d = len(forms)
     rational = all(f.field.is_rational_field for f in forms)
     leads_ok = all((not f.is_zero) and f.lead >= 1 for f in forms)
-    kap = kappa(basis.group)
+    inv = invariants(basis.group)
+    kap, genus = inv.kappa, inv.genus
     rows = max(kap, 0)
     bound = f"dimension {d}, kappa {kap}"
     checks = [
@@ -270,7 +268,13 @@ def validate_basis(basis: CuspFormBasis):
         jsonio.check_entry(
             "uniform-level", len({f.level for f in forms}) <= 1, "forms use different levels"
         ),
-        jsonio.check_entry("dimension-bound", d <= rows, bound, bound),
+        # a basis spans S_2, whose dimension is the genus
+        jsonio.check_entry(
+            "dimension-bound",
+            d <= rows and d == genus,
+            bound if d > rows else f"dimension {d}, genus {genus}",
+            bound,
+        ),
     ]
 
     rank_ok = True

@@ -247,7 +247,7 @@ class CyclotomicElement:
 
     def __init__(self, conductor: int, coords):
         phi = euler_phi(conductor)
-        coords = tuple(Fraction(c) for c in coords)
+        coords = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
         if len(coords) > phi:
             raise ValueError(f"expected at most {phi} coordinates for conductor {conductor}")
         if len(coords) < phi:

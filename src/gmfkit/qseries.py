@@ -447,22 +447,19 @@ class QExpansion:
         var = "q" if self.level == 1 else f"q{self.level}"
         if self.is_zero:
             return f"QExpansion(0 + O({var}^{self.precision}))"
+        # build only the (at most six) shown coefficients, not ``coeffs``
+        deg, nums = self.field.degree, self.nums
         parts = []
-        shown = 0
-        for i, c in enumerate(self.coeffs):
-            if not c:
+        for i in range(0, len(nums), deg):
+            if not any(nums[i : i + deg]):
                 continue
-            e = self.lead + i
-            if shown == 6:
+            if len(parts) == 6:
                 parts.append("...")
                 break
-            if e == 0:
-                parts.append(str(c))
-            else:
-                parts.append(f"{c}*{var}^{e}")
-            shown += 1
-        body = " + ".join(parts) if parts else "0"
-        return f"QExpansion({body} + O({var}^{self.precision}))"
+            e = self.lead + i // deg
+            c = self.coeff(e)
+            parts.append(str(c) if e == 0 else f"{c}*{var}^{e}")
+        return f"QExpansion({' + '.join(parts)} + O({var}^{self.precision}))"
 
 
 def exp_from_logderiv(g: QExpansion, target_precision: int) -> QExpansion:

@@ -5,7 +5,9 @@ Gamma(N).  Cosets of the projective image P Gamma inside PSL_2(Z) are
 enumerated once per group by breadth-first search over the generators
 S = (0 -1; 1 0) and T = (1 1; 0 1); the same table serves the index, the
 cusp count (the orbits of the right T-action, counted once from the
-T-images the search computes anyway) and representative extraction.
+T-images the search computes anyway), the elliptic points (the cosets
+fixed by S and by S T, from the S- and T-images) and so the genus, and
+representative extraction.
 
 Each coset is named by a canonical key of g mod N (every kind contains
 Gamma(N), so the right coset of g depends only on g mod N).  The BFS keys
@@ -181,18 +183,23 @@ class CosetTable:
 
     def __init__(self, group: GroupDescriptor):
         self.group = group
-        self.reps: list[IntegerMatrix] = [IDENTITY]
-        self._coset_of: dict[tuple, int] = {_coset_key(group, 1, 0, 0, 1): 0}
-        t_image = []  # t_image[i]: the coset of reps[i] * T
+        reps: list[IntegerMatrix] = [IDENTITY]
+        coset_of: dict[tuple, int] = {_coset_key(group, 1, 0, 0, 1): 0}
+        self.reps, self._coset_of = reps, coset_of
+        s_image, t_image = [], []  # s_image[i]: the coset of reps[i] * S; t_image for T
         # reps doubles as the BFS queue: the loop reaches each new coset
         # in the order it is appended
-        for g in self.reps:
+        for g in reps:
             a, b, c, d = g.a, g.b, g.c, g.d
-            for h in ((b, -a, d, -c), (a, a + b, c, c + d)):  # g * S, then g * T
-                index = self._coset_of.setdefault(_coset_key(group, *h), len(self.reps))
-                if index == len(self.reps):
-                    self.reps.append(IntegerMatrix(*h))
-            t_image.append(index)  # the last h is g * T
+            # g * S, then g * T
+            for h, image in (((b, -a, d, -c), s_image), ((a, a + b, c, c + d), t_image)):
+                index = coset_of.setdefault(_coset_key(group, *h), len(reps))
+                if index == len(reps):
+                    reps.append(IntegerMatrix(*h))
+                image.append(index)
+        # the elliptic points: the cosets fixed by S (order 2) and by S T (order 3)
+        self.nu2 = sum(i == j for i, j in enumerate(s_image))
+        self.nu3 = sum(t_image[j] == i for i, j in enumerate(s_image))
         self.cusp_count = 0  # the cycles of the right T-action on the cosets
         for start in range(len(t_image)):
             if t_image[start] >= 0:
@@ -255,16 +262,19 @@ class SubgroupInvariants:
     cusp_count: int
     kappa: int
     contains_minus_identity: bool
+    genus: int  # = dim S_2, the number of forms in a weight-2 cusp form basis
 
 
 def invariants(group: GroupDescriptor) -> SubgroupInvariants:
-    cusps = cusp_count(group)  # first: it refuses a group past the index cap
-    idx = p_index(group)
+    table = coset_table(group)  # first: it refuses a group past the index cap
+    idx, cusps = p_index(group), table.cusp_count
     return SubgroupInvariants(
         p_index=idx,
         cusp_count=cusps,
         kappa=idx // 6 + 1 - cusps,
         contains_minus_identity=contains_minus_identity(group),
+        # g = 1 + mu/12 - nu2/4 - nu3/3 - nu_inf/2 (Diamond-Shurman Thm. 3.1.1)
+        genus=(12 + idx - 3 * table.nu2 - 4 * table.nu3 - 6 * cusps) // 12,
     )
 
 

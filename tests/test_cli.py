@@ -643,6 +643,19 @@ class TestInputShapes:
         for argv in self.basis_argvs(f_path, prefix_path, str(basis_path)):
             self.refused(capsys, argv, "malformed-input", "basis forms must be a JSON array")
 
+    def test_basis_without_genus_many_forms(self, capsys, tmp_path, f_dec_basis):
+        # an empty basis for Gamma_0(11), of genus 1, would turn this verdict
+        # into prefix-inconsistent
+        f_path, prefix_path, _, basis = f_dec_basis
+        certify = ["certify", "--f", f_path, "--group", "gamma0:11", "--prec", "60",
+                   "--prefix", prefix_path]
+        assert invoke_json(capsys, *certify)["verdict"] == "nontrivial-f0"
+        basis_path = tmp_path / "basis.json"
+        basis_path.write_text(json.dumps(dict(basis, forms=[])))
+        for argv in [*self.basis_argvs(f_path, prefix_path, str(basis_path)),
+                     [*certify, "--basis", str(basis_path)]]:
+            self.refused(capsys, argv, "corrupt-basis", "basis failed validation: dimension-bound")
+
     @pytest.mark.parametrize("coeffs", ["123", {"1": 0, "2": 0, "3": 0}])
     def test_series_coeffs_not_an_array(self, capsys, tmp_path, coeffs):
         path = tmp_path / "f.json"

@@ -1,7 +1,10 @@
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gmfkit import jsonio
 from gmfkit.errors import (
@@ -11,6 +14,7 @@ from gmfkit.errors import (
     PrecisionError,
 )
 from gmfkit.etaforms import (
+    _GENUS_ZERO,
     MAX_ETA_EXPONENT_SUM,
     MAX_ETA_PRECISION,
     CuspFormBasis,
@@ -21,10 +25,11 @@ from gmfkit.etaforms import (
     load_basis,
     shipped_levels,
     shipped_quotient,
+    _unit_factor,
     validate_basis,
 )
 from gmfkit.qseries import QExpansion
-from gmfkit.subgroup import GAMMA0, GroupDescriptor, kappa
+from gmfkit.subgroup import GAMMA, GAMMA0, GAMMA1, GroupDescriptor, invariants, kappa
 
 
 def brute_force_euler(terms):
@@ -146,6 +151,58 @@ class TestEtaQuotientExpansion:
             eta_quotient_expansion(EtaQuotient(((1, -24),), 1), -1)
 
 
+def unit_product_oracle(pairs, terms):
+    """prod_(d, r) prod_(n >= 1) (1 - q^(d n))^r to ``terms`` terms as a
+    list of ints, multiplied or divided out one factor 1 - q^k at a time."""
+    w = [1] + [0] * (terms - 1)
+    for d, r in pairs:
+        for k in range(d, terms, d):
+            for _ in range(abs(r)):
+                if r > 0:  # times 1 - q^k
+                    for i in range(terms - 1, k - 1, -1):
+                        w[i] -= w[i - k]
+                else:  # times 1 / (1 - q^k) = 1 + q^k + q^(2k) + ...
+                    for i in range(k, terms):
+                        w[i] += w[i - k]
+    return w
+
+
+@st.composite
+def quotient_and_precision(draw):
+    """An ambient level N <= 36, up to four (d, r) with d | N and |r| <= 3,
+    and a precision whose length at the quotient's level, 31 .. 65 terms,
+    lies on either side of a multiple of 32."""
+    n = draw(st.integers(1, 36))
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(divisors), st.integers(-3, 3)), max_size=4))
+    s = sum(d * r for d, r in pairs)
+    level, lead = 24 // math.gcd(24, s), s // math.gcd(24, s)
+    terms = draw(st.sampled_from([31, 32, 33, 63, 64, 65]))
+    precision = lead + level * (terms - 1) + 1 + draw(st.integers(0, level - 1))
+    return n, tuple(pairs), precision
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=quotient_and_precision())
+@example(case=(24, ((1, -3), (24, -1)), -9 + 8 * 32 + 1))  # lead -9 at level 8, 33 terms
+@example(case=(36, ((36, -3), (4, 2)), -25 + 6 * 63 + 1))  # lead -25 at level 6, 64 terms
+@example(case=(1, (), 65))  # the constant 1
+def test_quotient_against_integer_product(case):
+    n, pairs, precision = case
+    s = sum(d * r for d, r in pairs)
+    level, lead = 24 // math.gcd(24, s), s // math.gcd(24, s)
+    terms = -(-(precision - lead) // level)
+    w = unit_product_oracle(pairs, terms)
+    f = eta_quotient_expansion(EtaQuotient(pairs, n), precision)
+    assert (f.level, f.lead, f.precision) == (level, lead, precision)
+    for e in range(lead, precision):
+        k, off = divmod(e - lead, level)
+        assert f.coeff(e) == (0 if off else w[k]), e
+    assert eta_quotient_expansion(EtaQuotient(pairs, 2 * n), precision) == f
+    for d, r in EtaQuotient(pairs, n).terms:
+        assert _unit_factor(d, r, terms) == QExpansion(1, 0, unit_product_oracle([(d, r)], terms))
+
+
 class TestSizeCaps:
     # Sizes of 10**12 would exhaust memory if anything were allocated for
     # them, so a PrecisionError (not a MemoryError) shows the early refusal.
@@ -192,6 +249,16 @@ class TestShippedCatalogue:
     def test_kappa_is_one_on_shipped_groups(self, n):
         assert kappa(GroupDescriptor(GAMMA0, n)) == 1
 
+    @pytest.mark.parametrize("n", [11, 14, 15, 20, 24, 27, 32, 36])
+    def test_genus_is_one_on_shipped_groups(self, n):
+        assert invariants(GroupDescriptor(GAMMA0, n)).genus == 1
+
+    def test_genus_zero_catalogue_matches_the_tables(self):
+        for kind, top in ((GAMMA0, 100), (GAMMA1, 60), (GAMMA, 24)):
+            levels = range(1, top + 1)
+            computed = {n for n in levels if invariants(GroupDescriptor(kind, n)).genus == 0}
+            assert computed == _GENUS_ZERO[kind], kind
+
     def test_sl2_empty_basis(self):
         basis = load_basis(GroupDescriptor(GAMMA0, 1), 10)
         assert basis.dimension == 0
@@ -221,6 +288,14 @@ class TestValidateBasis:
         basis = CuspFormBasis(GroupDescriptor(GAMMA0, 2), ())
         assert all(c["passed"] for c in validate_basis(basis))
 
+    def test_dimension_must_be_the_genus(self):
+        group = GroupDescriptor(GAMMA0, 11)
+        report = {c["check"]: c for c in validate_basis(CuspFormBasis(group, ()))}
+        assert report["dimension-bound"] == {
+            "check": "dimension-bound", "passed": False, "detail": "dimension 0, genus 1"
+        }
+        assert report["leading-rank"]["passed"] is True
+
 
 class TestBasisDataFiles:
     def _write(self, tmp_path, group_text, forms):
@@ -247,6 +322,11 @@ class TestBasisDataFiles:
         form = eta_quotient_expansion(shipped_quotient(11), 20)
         path = self._write(tmp_path, "gamma0:11", [form, form.scale(F(2))])
         with pytest.raises(CorruptBasisError):
+            load_basis(GroupDescriptor(GAMMA0, 11), 10, path)
+
+    def test_empty_file_for_a_genus_one_group(self, tmp_path):
+        path = self._write(tmp_path, "gamma0:11", [])
+        with pytest.raises(CorruptBasisError, match="dimension-bound"):
             load_basis(GroupDescriptor(GAMMA0, 11), 10, path)
 
     def test_insufficient_precision(self, tmp_path):

@@ -292,6 +292,29 @@ class TestFieldMaps:
         assert pf.as_rational_series() == f
 
 
+class TestRepr:
+    # the text as recorded before repr stopped building every coefficient
+    @pytest.mark.parametrize("build, text", [
+        (lambda: QExpansion(1, -1, [F(1, 2), 0, -3, F(7, 5)], 5),
+         "QExpansion(1/2*q^-1 + -3*q^1 + 7/5*q^2 + O(q^5))"),
+        (lambda: QExpansion(1, 0, [2, 0, 1], 5), "QExpansion(2 + 1*q^2 + O(q^5))"),
+        (lambda: QExpansion(1, 1, [CyclotomicElement.zeta(5), 0,
+                                   CyclotomicElement.zeta(5, 2) + F(1, 3), 2], 6,
+                            FieldTag.cyclotomic(5)),
+         "QExpansion(CyclotomicElement(5, [0, 1, 0, 0])*q^1 + "
+         "CyclotomicElement(5, [1/3, 0, 1, 0])*q^3 + CyclotomicElement(5, [2, 0, 0, 0])*q^4 + O(q^6))"),
+        (lambda: QExpansion.zero(3, 7), "QExpansion(0 + O(q3^7))"),
+        (lambda: euler_product(40),
+         "QExpansion(1 + -1*q^1 + -1*q^2 + 1*q^5 + 1*q^7 + -1*q^12 + ... + O(q^40))"),
+    ], ids=["rational", "constant-term", "cyclotomic", "zero", "past-six-terms"])
+    def test_text_builds_no_coefficient_list(self, build, text):
+        f = build()
+        assert repr(f) == text
+        assert f._coeffs is None
+        f.coeffs
+        assert repr(f) == text
+
+
 # ----------------------------------------------------------------------
 # properties
 

@@ -236,6 +236,48 @@ class TestKappa:
         assert inv.kappa == kappa(group)
 
 
+def elliptic_gamma0_formula(n, order):
+    """nu_2 or nu_3 of Gamma_0(n) (Diamond-Shurman Cor. 3.7.2): 0 when 4 | n
+    (resp. 9 | n), else prod_(p | n) (1 + (-1/p)) (resp. (-3/p))."""
+    if n % (4 if order == 2 else 9) == 0:
+        return 0
+    count, m, p = 1, n, 2
+    while m > 1:
+        if m % p == 0:
+            while m % p == 0:
+                m //= p
+            if order == 2 and p % 4 == 1 or order == 3 and p % 3 == 1:
+                count *= 2  # (-1/p) or (-3/p) is 1
+            elif order == 2 and p % 4 == 3 or order == 3 and p % 3 == 2:
+                return 0  # (-1/p) or (-3/p) is -1
+        p += 1
+    return count
+
+
+class TestGenus:
+    def test_gamma0_elliptic_points_match_closed_formulas(self):
+        for n in range(1, 301):
+            table = coset_table(GroupDescriptor(GAMMA0, n))
+            assert (table.nu2, table.nu3) == (
+                elliptic_gamma0_formula(n, 2), elliptic_gamma0_formula(n, 3)
+            ), n
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_gamma_closed_formula(self, n):
+        # Gamma(N), N >= 3, has no elliptic points and index / N cusps
+        group = GroupDescriptor(GAMMA, n)
+        mu = p_index(group)
+        assert 12 * n * (invariants(group).genus - 1) == mu * (n - 6)
+
+    @pytest.mark.parametrize("group, genus", [
+        (SL2, 0), (GroupDescriptor(GAMMA0, 23), 2), (GroupDescriptor(GAMMA0, 100), 7),
+        (GroupDescriptor(GAMMA0, 389), 32), (GroupDescriptor(GAMMA1, 13), 2),
+        (GroupDescriptor(GAMMA, 7), 3), (GroupDescriptor(GAMMA, 2), 0),
+    ])
+    def test_known_values(self, group, genus):
+        assert invariants(group).genus == genus
+
+
 class TestParabolic:
     def test_t_is_parabolic(self):
         assert is_parabolic_trace2(GEN_T)
