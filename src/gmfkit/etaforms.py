@@ -212,17 +212,7 @@ def load_basis(group: GroupDescriptor, precision: int, path=None) -> CuspFormBas
     """Basis expansions at the requested precision, regenerated from the
     shipped eta recipes or parsed from a data file; the dimension (the
     genus) and the leading-rank invariant are validated on load."""
-    if path is not None:
-        basis = _basis_from_file(group, precision, path)
-    elif group.kind == GAMMA0 and group.level in _GENUS_ONE_ETA:
-        form = eta_quotient_expansion(shipped_quotient(group.level), precision)
-        basis = CuspFormBasis(group, (form,))
-    elif group.level in _GENUS_ZERO[group.kind]:
-        basis = CuspFormBasis(group, ())
-    else:
-        raise NoBasisAvailableError(
-            f"no shipped basis for {group}; supply a basis data file"
-        )
+    basis = _read_basis(group, precision, path)
     report = validate_basis(basis)
     bad = [c for c in report if c["passed"] is False]
     if bad:
@@ -230,6 +220,18 @@ def load_basis(group: GroupDescriptor, precision: int, path=None) -> CuspFormBas
             "basis failed validation: " + "; ".join(c["check"] for c in bad)
         )
     return basis
+
+
+def _read_basis(group: GroupDescriptor, precision: int, path=None) -> CuspFormBasis:
+    """The basis ``load_basis`` returns, not yet validated."""
+    if path is not None:
+        return _basis_from_file(group, precision, path)
+    if group.kind == GAMMA0 and group.level in _GENUS_ONE_ETA:
+        form = eta_quotient_expansion(shipped_quotient(group.level), precision)
+        return CuspFormBasis(group, (form,))
+    if group.level in _GENUS_ZERO[group.kind]:
+        return CuspFormBasis(group, ())
+    raise NoBasisAvailableError(f"no shipped basis for {group}; supply a basis data file")
 
 
 def _basis_from_file(group: GroupDescriptor, precision: int, path) -> CuspFormBasis:

@@ -5,9 +5,10 @@ are bit-exact; emission is canonical (sorted keys, fixed indentation), so
 re-emitting a re-parsed document reproduces it byte for byte.  A series'
 text is read and written straight from its stored integer form (the
 coordinates ``nums`` over one denominator ``den``): each coordinate is
-written reduced by one gcd with ``den``, and the coordinates read, each in
-lowest terms, are put over the lcm of their denominators, which is
-canonical as it stands, so no field element is built on either side.
+written reduced by one gcd with ``den``, and the coordinates read are put,
+as written, over the lcm of their denominators, whose common factor with
+the numerators one running gcd divides out, so no field element is built
+on either side.
 Integers past the interpreter's int/str digit limit are written and read
 through ``decimal`` rather than by raising that process-wide limit;
 reading takes at most ``MAX_RATIONAL_DIGITS`` digits per integer.
@@ -24,7 +25,7 @@ from math import gcd
 
 from .errors import MalformedInputError
 from .numberfield import RATIONAL, CyclotomicElement, FieldTag, _over_lcm
-from .qseries import QExpansion
+from .qseries import QExpansion, _lowest
 
 # Digits of one integer in a rational read from JSON (a cap, so that an
 # input cannot make the reader run for minutes).
@@ -83,8 +84,8 @@ def format_rational(x) -> str:
 
 
 def _read_ratio(text):
-    """(numerator, denominator > 0) in lowest terms of a rational as JSON
-    carries it: a JSON integer or a string ``"p"``, ``"p/q"`` or a
+    """(numerator, denominator > 0) of a rational as JSON carries it: a
+    JSON integer or a string ``"p"``, ``"p/q"`` (not reduced) or a
     decimal."""
     if type(text) is int:  # JSON true is not a coefficient
         return text, 1
@@ -111,8 +112,7 @@ def _read_ratio(text):
         den = _text_int(den)
         if not den:
             raise ZeroDivisionError(f"Fraction({num}, 0)")  # as Fraction words it
-        g = gcd(num, den)
-        return num // g, den // g
+        return num, den
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedInputError(f"bad rational {text!r}: {exc}") from None
 
@@ -198,7 +198,7 @@ def series_from_obj(obj) -> QExpansion:
         raise MalformedInputError(
             f"{len(coeffs)} coefficients do not fill the window [{lead}, {precision})"
         )
-    return QExpansion._from_integers(level, lead, *_over_lcm(ratios), precision, tag)
+    return QExpansion._from_integers(level, lead, *_lowest(*_over_lcm(ratios)), precision, tag)
 
 
 def check_entry(name: str, passed, failure: str, success: str | None = None) -> dict:

@@ -9,18 +9,20 @@ T-images the search computes anyway), the elliptic points (the cosets
 fixed by S and by S T, from the S- and T-images) and so the genus, and
 representative extraction.
 
-Each coset is named by a canonical key of g mod N (every kind contains
-Gamma(N), so the right coset of g depends only on g mod N).  The BFS keys
-each neighbour g S, g T from the entries of g and builds a representative
-(exact integer entries) only for a coset not seen before.  Groups of
-index above ``MAX_INDEX`` are refused before any search.
+Each coset is named by one integer, a canonical key of g mod N (every
+kind contains Gamma(N), so the right coset of g depends only on g mod N),
+from a key function chosen once per table by the group's kind.  The BFS
+keys each neighbour g S, g T from the entries of g and builds a
+representative (an immutable ``IntegerMatrix`` with exact integer
+entries) only for a coset not seen before.  Groups of index above
+``MAX_INDEX`` are refused before any search.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 from .errors import BadGroupError, BadMatrixError, UnsupportedGroupError
 from .numberfield import prime_divisors
@@ -61,14 +63,41 @@ class GroupDescriptor:
         return f"{self.kind}:{self.level}"
 
 
-@dataclass(frozen=True)
 class IntegerMatrix:
-    """2x2 integer matrix; group elements have determinant 1."""
+    """2x2 integer matrix; group elements have determinant 1.
 
-    a: int
-    b: int
-    c: int
-    d: int
+    Immutable, equal and hashing as the tuple of its entries does (but never
+    equal to a tuple); ``__init__`` writes the entries through the slot
+    descriptors, past the ``__setattr__`` that refuses every later write.
+    """
+
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: int, b: int, c: int, d: int):
+        IntegerMatrix.a.__set__(self, a)
+        IntegerMatrix.b.__set__(self, b)
+        IntegerMatrix.c.__set__(self, c)
+        IntegerMatrix.d.__set__(self, d)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__, not the slots
+        return IntegerMatrix, (self.a, self.b, self.c, self.d)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c, self.d))
+
+    def __repr__(self):
+        return f"IntegerMatrix(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
 
     def det(self) -> int:
         return self.a * self.d - self.b * self.c
@@ -153,29 +182,65 @@ def p_index(group: GroupDescriptor) -> int:
 MAX_INDEX = 100_000
 
 
-def _coset_key(group: GroupDescriptor, a: int, b: int, c: int, d: int) -> tuple:
-    """Canonical name of the right coset P Gamma (a b; c d), sign quotiented out.
+def _coset_key(group: GroupDescriptor):
+    """The function naming each right coset P Gamma (a b; c d) by one
+    integer, the sign quotiented out.
 
     Left multiplication by the group fixes, of the matrix mod N: for Gamma(N)
     the whole residue; for Gamma_1(N) the bottom row (c, d); for
-    Gamma_0(N) the bottom row up to a unit, a point of P^1(Z/N).  That
-    point's normal form: a unit u takes c to g = gcd(c, N), the units
-    fixing g are the v = 1 mod N/g, and the least d u v over those (g
-    candidates, not phi(N)) is the second coordinate.
+    Gamma_0(N) the bottom row up to a unit, a point of P^1(Z/N).  For the
+    first two the key reads the residues as base-N digits and takes the
+    lesser number of g and -g, which is the lexicographically least residue
+    tuple: the first residue that differs from its negative (not 0 or N/2)
+    picks the sign.  A point of P^1(Z/N) is packed as g N + d': a unit u
+    takes c to g = gcd(c, N), the units fixing g are the v = 1 mod N/g, and
+    d' is the least d u v over those (g candidates, not phi(N)); g, u and
+    the v depend on c mod N alone, so they are found once per residue.
     """
     n = group.level
     if group.kind == GAMMA:
-        key = (a % n, b % n, c % n, d % n)
-        return min(key, tuple(-x % n for x in key))
-    c, d = c % n, d % n
-    if group.kind == GAMMA1:
-        return min((c, d), (-c % n, -d % n))
+        def key(a, b, c, d):
+            a %= n
+            if a + a > n:  # -a mod N < a: the digits of -g
+                return (((n - a) * n + -b % n) * n + -c % n) * n + -d % n
+            k = ((a * n + b % n) * n + c % n) * n + d % n
+            if a and a + a < n:
+                return k
+            m = ((a * n + -b % n) * n + -c % n) * n + -d % n  # a = -a mod N
+            return k if k < m else m
+    elif group.kind == GAMMA1:
+        def key(a, b, c, d):
+            c %= n
+            if c + c > n:
+                return (n - c) * n + -d % n
+            if c and c + c < n:
+                return c * n + d % n
+            return c * n + min(d % n, -d % n)  # c = -c mod N
+    else:
+        points = {}  # c mod N -> (g N, u, the v)
+
+        def key(a, b, c, d):
+            c %= n
+            point = points.get(c)
+            if point is None:
+                point = points[c] = _p1_point(c, n)
+            gn, u, units = point
+            if len(units) == 1:  # only v = 1 fixes g
+                return gn + d * u % n
+            du = d * u
+            return gn + min(du * v % n for v in units)
+    return key
+
+
+def _p1_point(c: int, n: int):
+    """(g N, u, vs) for the points (c : d) of P^1(Z/N), g = gcd(c, N): the
+    unit u takes c to g, and the units vs = 1 mod N/g fix g."""
     g = math.gcd(c, n)
     m = n // g
     u = pow(c // g, -1, m)  # c/g is a unit mod N/g; lift it to one mod N
     while math.gcd(u, n) != 1:
         u += m
-    return g, min(d * u * v % n for v in range(1, n + 1, m) if math.gcd(v, n) == 1)
+    return g * n, u, tuple(v for v in range(1, n + 1, m) if math.gcd(v, n) == 1)
 
 
 class CosetTable:
@@ -183,20 +248,25 @@ class CosetTable:
 
     def __init__(self, group: GroupDescriptor):
         self.group = group
+        self._key = key = _coset_key(group)
         reps: list[IntegerMatrix] = [IDENTITY]
-        coset_of: dict[tuple, int] = {_coset_key(group, 1, 0, 0, 1): 0}
+        coset_of: dict[int, int] = {key(1, 0, 0, 1): 0}
         self.reps, self._coset_of = reps, coset_of
         s_image, t_image = [], []  # s_image[i]: the coset of reps[i] * S; t_image for T
         # reps doubles as the BFS queue: the loop reaches each new coset
         # in the order it is appended
         for g in reps:
             a, b, c, d = g.a, g.b, g.c, g.d
-            # g * S, then g * T
-            for h, image in (((b, -a, d, -c), s_image), ((a, a + b, c, c + d), t_image)):
-                index = coset_of.setdefault(_coset_key(group, *h), len(reps))
-                if index == len(reps):
-                    reps.append(IntegerMatrix(*h))
-                image.append(index)
+            new = len(reps)
+            index = coset_of.setdefault(key(b, -a, d, -c), new)  # g * S
+            if index == new:
+                reps.append(IntegerMatrix(b, -a, d, -c))
+                new += 1
+            s_image.append(index)
+            index = coset_of.setdefault(key(a, a + b, c, c + d), new)  # g * T
+            if index == new:
+                reps.append(IntegerMatrix(a, a + b, c, c + d))
+            t_image.append(index)
         # the elliptic points: the cosets fixed by S (order 2) and by S T (order 3)
         self.nu2 = sum(i == j for i, j in enumerate(s_image))
         self.nu3 = sum(t_image[j] == i for i, j in enumerate(s_image))
@@ -212,7 +282,7 @@ class CosetTable:
         return len(self.reps)
 
     def coset_index(self, mat: IntegerMatrix) -> int:
-        return self._coset_of[_coset_key(self.group, mat.a, mat.b, mat.c, mat.d)]
+        return self._coset_of[self._key(mat.a, mat.b, mat.c, mat.d)]
 
 
 _TABLE_CACHE: dict[GroupDescriptor, CosetTable] = {}

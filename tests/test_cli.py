@@ -652,9 +652,14 @@ class TestInputShapes:
         assert invoke_json(capsys, *certify)["verdict"] == "nontrivial-f0"
         basis_path = tmp_path / "basis.json"
         basis_path.write_text(json.dumps(dict(basis, forms=[])))
-        for argv in [*self.basis_argvs(f_path, prefix_path, str(basis_path)),
-                     [*certify, "--basis", str(basis_path)]]:
+        validate, decompose = self.basis_argvs(f_path, prefix_path, str(basis_path))
+        for argv in [decompose, [*certify, "--basis", str(basis_path)]]:
             self.refused(capsys, argv, "corrupt-basis", "basis failed validation: dimension-bound")
+        # the diagnostic verb prints the failing report instead
+        report = invoke_json(capsys, *validate)
+        assert report["all_passed"] is False and report["dimension"] == 0
+        failed = [(c["check"], c["detail"]) for c in report["checks"] if c["passed"] is False]
+        assert failed == [("dimension-bound", "dimension 0, genus 1")]
 
     @pytest.mark.parametrize("coeffs", ["123", {"1": 0, "2": 0, "3": 0}])
     def test_series_coeffs_not_an_array(self, capsys, tmp_path, coeffs):
@@ -734,7 +739,9 @@ class TestPinnedOutput:
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[level, verb]
 
     # (exit code, SHA-256 of stdout) of the check reports of verify and
-    # validate-basis, recorded before the check entries had one builder.
+    # validate-basis, recorded before the check entries had one builder;
+    # the two failing basis files were recorded when validate-basis began
+    # to print a failing report rather than refuse the file.
     # The decomposition is that of f = g * exp(3 g), g the Gamma_0(11)
     # newform, to 60 terms, spoiled as the case's name says.
     PINNED_REPORTS = {
@@ -745,7 +752,8 @@ class TestPinnedOutput:
         "verify-skipped": (0, "862b05c1cd550ba9f7d5d00d25d5d1e7a4a6266b2e720a22f1f855f9cee18e7f"),
         "validate-shipped": (0, "b555fc09ca0d96dfe4b0203cb90c4145f9e13d5947731f9a8a559b2cfe39e8fd"),
         "validate-genus-zero": (0, "7a96ea3f78bcea5a6a9cd88fb26164400a6417f74a4cc54e4578d2c633abaef9"),
-        "validate-corrupt-file": (2, "266fe23d33ee2f31dd45b2955ef246502960031934c04a2db4827ca4fec0ea3a"),
+        "validate-corrupt-file": (0, "59a63fcf7d15bb1db26cd5eb91fdbae9d4bffde95d394235c4079e6896357364"),
+        "validate-too-few-forms": (0, "b17e1a7bcd039a53b9a237a1ad62fc204b814ccee13392e9b356483c3fe01c92"),
         "validate-library": (None, "013155adb871e4bb0eba1ccf3abe7b9386d78ae0d2d481bdda68408c351f6e68"),
     }
 
@@ -761,7 +769,7 @@ class TestPinnedOutput:
     @pytest.mark.parametrize("case", [
         "verify-pass", "verify-product-fails", "verify-coords-mismatch", "verify-g0-level",
         "verify-skipped", "validate-shipped", "validate-genus-zero", "validate-corrupt-file",
-        "validate-library",
+        "validate-too-few-forms", "validate-library",
     ])
     def test_check_report_hash(self, capsys, tmp_path, case):
         g = eta_quotient_expansion(EtaQuotient(((1, 2), (11, 2)), 11), 70)
@@ -776,16 +784,19 @@ class TestPinnedOutput:
         dec_path.write_text(json.dumps(dec))
         basis_path = tmp_path / "basis.json"  # a form with lead 0
         basis_path.write_text(json.dumps({"group": "gamma0:11", "forms": [dec["f0"]]}))
+        empty_path = tmp_path / "empty.json"  # no form, for a group of genus 1
+        empty_path.write_text(json.dumps({"group": "gamma0:11", "forms": []}))
         argv = {
             "verify-skipped": ["verify", "--f", str(f_path), "--dec", str(dec_path), "--group", "gamma0:23"],
             "validate-shipped": ["validate-basis", "--group", "gamma0:11"],
             "validate-genus-zero": ["validate-basis", "--group", "gamma0:5"],
             "validate-corrupt-file": ["validate-basis", "--group", "gamma0:11", "--basis", str(basis_path)],
+            "validate-too-few-forms": ["validate-basis", "--group", "gamma0:11", "--basis", str(empty_path)],
         }.get(case, ["verify", "--f", str(f_path), "--dec", str(dec_path), "--group", "gamma0:11",
                      "--with-basis"])
         if case == "validate-library":
-            # failing reports, which validate-basis refuses to print: a
-            # lead-0 form, a cyclotomic form, forms too short for kappa
+            # failing reports straight from the library: a lead-0 form, a
+            # cyclotomic form, forms too short for kappa
             g = jsonio.series_from_obj(dec["g0"])
             tag = FieldTag.cyclotomic(3)
             code, out = None, jsonio.dumps([

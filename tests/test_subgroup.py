@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import tracemalloc
 
 import pytest
@@ -121,6 +123,45 @@ class TestMembership:
             is_member(IntegerMatrix(1, 0, 0, 2), SL2)
 
 
+class TestIntegerMatrix:
+    def test_equal_and_hashed_as_its_entries(self):
+        m = IntegerMatrix(3, 2, 4, 3)
+        assert m == IntegerMatrix(3, 2, 4, 3)
+        assert m != IntegerMatrix(3, 2, 4, -3)
+        assert m != (3, 2, 4, 3)  # equal to no tuple
+        assert hash(m) == hash((3, 2, 4, 3))
+        assert hash(IntegerMatrix(2**70, -1, 0, 1)) == hash((2**70, -1, 0, 1))
+        assert len({m, IntegerMatrix(3, 2, 4, 3), -(-m)}) == 1
+
+    def test_repr(self):
+        assert repr(IDENTITY) == "IntegerMatrix(a=1, b=0, c=0, d=1)"
+        assert repr(IntegerMatrix(-2, 5, 7, -17)) == "IntegerMatrix(a=-2, b=5, c=7, d=-17)"
+
+    def test_immutable(self):
+        m = IntegerMatrix(1, 1, 0, 1)
+        with pytest.raises(AttributeError):
+            m.a = 5
+        with pytest.raises(AttributeError):
+            del m.b
+        with pytest.raises(AttributeError):
+            m.e = 0
+        assert m == GEN_T
+
+    @pytest.mark.parametrize("clone", [
+        *(pytest.param(lambda m, p=p: pickle.loads(pickle.dumps(m, protocol=p)), id=f"pickle{p}")
+          for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+        copy.copy,
+        copy.deepcopy,
+    ])
+    def test_round_trips(self, clone):
+        m = IntegerMatrix(2**70, -1, 5, 7)
+        twin = clone(m)
+        assert type(twin) is IntegerMatrix
+        assert twin == m and hash(twin) == hash(m) and repr(twin) == repr(m)
+        with pytest.raises(AttributeError):
+            twin.a = 0
+
+
 class TestCosetEnumeration:
     def test_sl2_trivial(self):
         assert coset_reps(SL2) == [IDENTITY]
@@ -207,6 +248,7 @@ class TestCusps:
             raise AssertionError("a coset was keyed after the table build")
 
         monkeypatch.setattr(subgroup, "_coset_key", no_key)
+        monkeypatch.setattr(table, "_key", no_key)  # the key function the table kept
         assert cusp_count(group) == table.cusp_count == cusps
         assert kappa(group) == p_index(group) // 6 + 1 - cusps
 
@@ -321,9 +363,9 @@ class TestJTwist:
 
 GEN_T_INV = IntegerMatrix(1, -1, 0, 1)
 WORD_GROUPS = (
-    [GroupDescriptor(GAMMA0, n) for n in (1, 2, 4, 6, 9, 11, 12, 25, 30, 36)]
-    + [GroupDescriptor(GAMMA1, n) for n in (1, 2, 3, 4, 5, 8, 12)]
-    + [GroupDescriptor(GAMMA, n) for n in (1, 2, 3, 4, 6)]
+    [GroupDescriptor(GAMMA0, n) for n in (1, 2, 4, 6, 9, 11, 12, 25, 30, 36, 60)]
+    + [GroupDescriptor(GAMMA1, n) for n in (1, 2, 3, 4, 5, 8, 12, 24)]
+    + [GroupDescriptor(GAMMA, n) for n in (1, 2, 3, 4, 6, 12)]
 )
 WORDS = st.lists(st.sampled_from([GEN_S, GEN_T, GEN_T_INV]), max_size=12)
 
@@ -381,15 +423,27 @@ class TestCosetKeys:
         assert cusp_count(group) == cusps == 60
         assert kappa(group) == index // 6 + 1 - cusps
 
-    def test_table_memory_is_proportional_to_index(self):
+    @staticmethod
+    def build_peak(group):
         tracemalloc.start()
         try:
-            table = CosetTable(GroupDescriptor(GAMMA0, 300))
+            table = CosetTable(group)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(table) == 720
+        return len(table), peak
+
+    def test_table_memory_is_proportional_to_index(self):
+        size, peak = self.build_peak(GroupDescriptor(GAMMA0, 300))
+        assert size == 720
         assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    def test_table_memory_per_coset(self):
+        # one integer key and one slotted matrix per coset: 0.88 MB, where
+        # 4-tuple keys and dataclass matrices took 1.36 MB
+        size, peak = self.build_peak(GroupDescriptor(GAMMA, 24))
+        assert size == 4608
+        assert peak < 1.1 * 2**20, f"peak {peak / 2**20:.2f} MB"
 
     def test_index_cap(self, capsys):
         group = GroupDescriptor(GAMMA, 200)
