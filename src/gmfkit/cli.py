@@ -338,9 +338,13 @@ def run(argv=None) -> int:
         payload, code = {"error_kind": "malformed-input", "message": str(exc)}, 2
     text = jsonio.dumps(payload)
     if code == 0 and args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        return 0
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+            return 0
+        except OSError as exc:  # worded as jsonio.load_json_file words an unreadable input
+            payload = {"error_kind": "malformed-input", "message": f"{args.output}: {exc.strerror or exc}"}
+            text, code = jsonio.dumps(payload), 2
     try:
         print(text)
     except BrokenPipeError:  # the reader closed stdout early and wants no more

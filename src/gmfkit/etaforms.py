@@ -29,7 +29,7 @@ from .errors import (
     PrecisionError,
 )
 from .linalg import rank
-from .numberfield import _product
+from .numberfield import RATIONAL, _product
 from .qseries import MAX_TERMS, QExpansion
 from .subgroup import GAMMA, GAMMA0, GAMMA1, GroupDescriptor, invariants
 
@@ -62,7 +62,7 @@ def euler_product(terms: int) -> QExpansion:
         if e2 < terms:
             coeffs[e2] = sign
         k += 1
-    return QExpansion(1, 0, coeffs, terms)
+    return QExpansion._from_integers(1, 0, coeffs, 1, terms, RATIONAL)
 
 
 def eta_expansion(precision: int) -> QExpansion:

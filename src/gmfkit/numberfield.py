@@ -11,10 +11,11 @@ off the coordinates.  Elements never migrate to a smaller conductor on
 their own; a value created in Q(zeta_12) stays there even if it happens
 to lie in Q(zeta_4).  Every reduction mod Phi_m (products, Galois images,
 powers of zeta) is one division by a monic polynomial, and every integer
-polynomial product is one convolution, ``_convolve``, which the series
-kernels in ``qseries`` share.  An inverse is the product of the other
-Galois conjugates over the norm; that and every other product of many
-factors is one balanced tree, ``_product``.
+polynomial product is one convolution, ``_convolve``, shared with the
+series kernels in ``qseries``, whose packed path gives every signed slot a
+half-slot bias.  An inverse is the product of the other Galois conjugates
+over the norm; that and every other product of many factors is one
+balanced tree, ``_product``.
 
 A ``FieldTag`` names the coefficient field of a series.  Q is its degree-1
 case, with modulus Phi_1 = x - 1: the tag reduces integer slots mod its
@@ -124,29 +125,23 @@ def _dot_products(a, b, size):
 
 def _kronecker(a, b, size, width):
     """Truncated product by Kronecker substitution, ``width`` bits being
-    enough for any product coefficient and its sign."""
+    enough for any product coefficient and its sign.  Each slot, packed or
+    unpacked, holds x + half, a nonnegative digit: every x, an entry or a
+    product coefficient, lies in [-half, half), so no slot borrows from or
+    carries into the next, and an integer is its slots minus their bias."""
     nbytes = (width + 7) // 8
-    mask = (1 << 8 * nbytes) - 1
+    half = 1 << (8 * nbytes - 1)
+
+    def bias(slots):  # half in each slot
+        return int.from_bytes((bytes(nbytes - 1) + b"\x80") * slots, "little")
 
     def pack(xs):
-        # two's-complement slots, each negative one borrowing 1 from the next
-        raw = b"".join((x & mask).to_bytes(nbytes, "little") for x in xs)
-        borrow = bytearray(len(raw) + nbytes)
-        for i, x in enumerate(xs):
-            if x < 0:
-                borrow[(i + 1) * nbytes] = 1
-        return int.from_bytes(raw, "little") - int.from_bytes(borrow, "little")
+        raw = b"".join((x + half).to_bytes(nbytes, "little") for x in xs)
+        return int.from_bytes(raw, "little") - bias(len(xs))
 
-    # adding half a slot to every slot makes each slot's digit nonnegative,
-    # so the low slots read off without carries from the ones above
-    half = 1 << (8 * nbytes - 1)
-    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * size, "little")
-    low = (pack(a) * pack(b) + bias) & ((1 << 8 * nbytes * size) - 1)
+    low = (pack(a) * pack(b) + bias(size)) & ((1 << 8 * nbytes * size) - 1)
     raw = memoryview(low.to_bytes(nbytes * size, "little"))
-    return [
-        int.from_bytes(raw[k * nbytes : (k + 1) * nbytes], "little") - half
-        for k in range(size)
-    ]
+    return [int.from_bytes(raw[k * nbytes : (k + 1) * nbytes], "little") - half for k in range(size)]
 
 
 def _over_lcm(ratios):

@@ -24,8 +24,8 @@ the power-basis coordinates of coefficients lead .. precision-1 in turn
 equal (nums, den).  The form is canonical as it is built, never checked
 afterwards: ``__init__`` puts the elements' coordinates over the lcm of
 their denominators, which is canonical, and ``_from_integers`` takes
-integers already in that form, from a kernel or from the JSON reader
-(which puts its reduced coordinates over the same lcm); both set the
+integers already in that form, from a kernel, the Euler product or the
+JSON reader (which puts its reduced coordinates over the lcm); both set the
 series through ``_store``, which pads the window and strips leading zeros.
 Every kernel reads and returns (nums, den), and ``coeffs`` builds the
 field elements only when read (``coeff(n)`` builds one).
@@ -92,8 +92,8 @@ class QExpansion:
     @classmethod
     def _from_integers(cls, level, lead, nums, den, precision, field):
         """The series whose coordinates from exponent lead on are the
-        integers ``nums`` over ``den > 0``, with gcd(den, *nums) == 1: the
-        constructor of every kernel result and of ``jsonio``'s series."""
+        integers ``nums`` over ``den > 0``, gcd(den, *nums) == 1: every kernel
+        result, ``jsonio``'s series and ``etaforms.euler_product``."""
         series = cls.__new__(cls)
         series._store(level, lead, nums, den, precision, field)
         return series

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import errno
 import functools
 import hashlib
 import io
@@ -547,6 +548,14 @@ class TestAuxiliaryVerbs:
         )
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["lead"] == 1
+
+    @pytest.mark.parametrize("where, code", [("missing/out.json", errno.ENOENT), (".", errno.EISDIR)])
+    def test_unwritable_output_is_malformed_input(self, capsys, tmp_path, where, code):
+        # a missing directory or a directory as the target: error JSON, no traceback
+        target = tmp_path / where
+        exit_code, out = invoke(capsys, "kappa", "gamma0:11", "--output", str(target))
+        assert exit_code == 2
+        assert json.loads(out) == {"error_kind": "malformed-input", "message": f"{target}: {os.strerror(code)}"}
 
 
 class TestCanonicalRoundTrip:

@@ -177,11 +177,21 @@ def test_product_methods_agree(data, ha, hb, la, lb):
     assert_product_methods(a, b, data.draw(st.integers(max(la, lb), la + lb)))
 
 
-@pytest.mark.parametrize("sign", [1, -1])
+# the entries of each side, all alike, that fill a slot the most: the
+# largest magnitude of h bits, 2**h - 1 or its negative, or -(2**h), one bit
+# longer; the first two pairs keep the ids they had when only b's sign varied
+EXTREMES = {"pos": lambda h: 2**h - 1, "neg": lambda h: 1 - 2**h, "min": lambda h: -(2**h)}
+SIGN_PAIRS = [pytest.param(("pos", "pos"), id="1"), pytest.param(("pos", "neg"), id="-1")] + [
+    pytest.param(pair, id="-".join(pair))
+    for pair in [("neg", "pos"), ("neg", "neg"), ("min", "min"), ("pos", "min"), ("min", "neg")]
+]
+
+
+@pytest.mark.parametrize("signs", SIGN_PAIRS)
 @pytest.mark.parametrize("ha, hb, la, lb", [(1, 1, 400, 300), (64, 64, 200, 150), (1, 3000, 40, 30), (3000, 3000, 40, 30)])
-def test_product_methods_extreme_sums(ha, hb, la, lb, sign):
-    # terms of the largest magnitude, all of one sign, fill a slot the most
-    assert_product_methods([2**ha - 1] * la, [sign * (2**hb - 1)] * lb, la + lb - 1)
+def test_product_methods_extreme_sums(ha, hb, la, lb, signs):
+    ea, eb = (EXTREMES[s] for s in signs)
+    assert_product_methods([ea(ha)] * la, [eb(hb)] * lb, la + lb - 1)
 
 
 def assert_product_methods(a, b, size):

@@ -154,6 +154,17 @@ def test_series_json_builds_no_elements():
     assert found == []
 
 
+def test_euler_product_built_in_integer_form():
+    # the pentagonal-number coefficients are integers already: they go to
+    # the integer constructor, not through field elements and back
+    tree = ast.parse((Path(gmfkit.__file__).parent / "etaforms.py").read_text(encoding="utf-8"))
+    (function,) = [node for node in tree.body if getattr(node, "name", None) == "euler_product"]
+    called = [ast.unparse(node.func) for node in ast.walk(function) if isinstance(node, ast.Call)]
+    assert "QExpansion._from_integers" in called and "QExpansion" not in called
+    names = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(function)}
+    assert "Fraction" not in names
+
+
 def test_series_canonical_by_construction():
     # a series is in lowest terms as it is built: one initializer behind the
     # element and the integer constructors, every series allocated by the
