@@ -38,6 +38,17 @@ from .qseries import exp_from_logderiv
 from .subgroup import GroupDescriptor, coset_reps, cusp_count, invariants
 
 
+# what a verb reports as an error JSON (exit 2): the domain errors, and
+# the built-in ones that malformed input raises
+DOMAIN_ERRORS = (GmfError, ValueError, TypeError, KeyError, OverflowError)
+
+
+def _error_obj(exc) -> dict:
+    """The error JSON of one of DOMAIN_ERRORS."""
+    kind = exc.kind if isinstance(exc, GmfError) else "malformed-input"
+    return {"error_kind": kind, "message": str(exc)}
+
+
 def _parse_field(text):
     if text == "rational":
         return RATIONAL
@@ -70,11 +81,11 @@ def _load_prefix(path, f):
     return jsonio.prefix_from_obj(jsonio.load_json_file(path), f.expansion.field)
 
 
-def _load_f_and_basis(path, group_text, prec, basis_path):
-    """The series in ``path`` on its group, and the basis sized for
-    decomposing it to ``prec``."""
-    f = _load_f(path, group_text)
-    return f, load_basis(f.group, working_precision(f, prec), basis_path)
+def _load_f_and_basis(path, group, prec, basis_path):
+    """The series in ``path`` on the parsed ``group``, and the basis sized
+    for decomposing it to ``prec``."""
+    f = PGMF(_load_series(path), group)
+    return f, load_basis(group, working_precision(f, prec), basis_path)
 
 
 # ----------------------------------------------------------------------
@@ -142,36 +153,43 @@ def cmd_rescale(args):
 
 
 def cmd_decompose(args):
-    f, basis = _load_f_and_basis(args.f, args.group, args.prec, args.basis)
+    group = GroupDescriptor.parse(args.group)
+    f, basis = _load_f_and_basis(args.f, group, args.prec, args.basis)
     prefix = _load_prefix(args.prefix, f)
     dec = decompose_with_prefix(f, prefix, basis, args.prec)
     checks = verify_decomposition(f, dec, basis)
     return decomposition_to_obj(dec, checks=checks)
 
 
-def _certify_one(path, group_text, prec, basis_path, prefix_path):
-    f, basis = _load_f_and_basis(path, group_text, prec, basis_path)
+def _certify_one(path, group, prec, basis_path, prefix_path):
+    f, basis = _load_f_and_basis(path, group, prec, basis_path)
     prefix = None if prefix_path is None else _load_prefix(prefix_path, f)
     return certificate_to_obj(finite_order_certificate(f, basis, prec, prefix=prefix))
 
 
+def _certify_entry(path, **options):
+    """The batch entry for one file: its certificate, or the error JSON
+    of the domain error that refused it (caught here, in the worker)."""
+    try:
+        return {"input": path, "certificate": _certify_one(path, **options)}
+    except DOMAIN_ERRORS as exc:
+        return {"input": path, **_error_obj(exc)}
+
+
 def cmd_certify(args):
-    certify = functools.partial(
-        _certify_one, group_text=args.group, prec=args.prec,
-        basis_path=args.basis, prefix_path=args.prefix,
-    )
+    options = dict(group=GroupDescriptor.parse(args.group), prec=args.prec,
+                   basis_path=args.basis, prefix_path=args.prefix)
     if len(args.f) == 1:
-        return certify(args.f[0])
+        return _certify_one(args.f[0], **options)
+    certify = functools.partial(_certify_entry, **options)
     # workers beyond the file count would only sit idle
     jobs = min(max(args.jobs, 1), len(args.f))
     if jobs == 1:
-        certificates = [certify(path) for path in args.f]
-    else:
-        import concurrent.futures
+        return [certify(path) for path in args.f]
+    import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            certificates = list(pool.map(certify, args.f))
-    return [{"input": path, "certificate": c} for path, c in zip(args.f, certificates)]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(certify, args.f))
 
 
 def cmd_verify(args):
@@ -332,10 +350,8 @@ def run(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         payload, code = args.handler(args), 0
-    except GmfError as exc:
-        payload, code = {"error_kind": exc.kind, "message": str(exc)}, 2
-    except (ValueError, TypeError, KeyError, OverflowError) as exc:
-        payload, code = {"error_kind": "malformed-input", "message": str(exc)}, 2
+    except DOMAIN_ERRORS as exc:
+        payload, code = _error_obj(exc), 2
     text = jsonio.dumps(payload)
     if code == 0 and args.output:
         try:

@@ -9,13 +9,14 @@ Everything here works at the expansion level.  The character itself is
 never materialized: each operation needed on it is expressible on the
 q-expansion, and the leading coefficients of f1 pin the whole
 decomposition down.  Given the first kappa+1 coefficients of f1, the
-cofactor coefficients a0(n) come out of the product recursion, the
-coefficients b0(n) of g0 out of the logarithmic-derivative recursion, g0
-itself out of an exact overdetermined solve against the basis (the
-leading kappa x d coefficient matrix has full column rank), and then
-f0 = exp of the integrated g0 and f1 = f / f0 to any precision f
-supports.  An inconsistent solve is first-class data: it certifies that
-the supplied prefix is not the leading part of any decomposition.
+cofactor coefficients a0(n) come out of ``divide`` (q^-h f over the
+prefix series), the coefficients b0(n) of g0 out of the cofactor's
+``theta_logderiv``, g0 itself out of an exact overdetermined solve
+against the basis (the leading kappa x d coefficient matrix has full
+column rank), and then f0 = exp of the integrated g0 and f1 = f / f0 to
+any precision f supports.  An inconsistent solve is first-class data: it
+certifies that the supplied prefix is not the leading part of any
+decomposition.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .jsonio import all_checks_passed  # noqa: F401  (re-exported)
 from .jsonio import check_entry, format_rational, parse_rational, require_json
 from .jsonio import series_from_obj, series_to_obj
 from .linalg import solve_full_column_rank
-from .numberfield import CyclotomicElement, FieldTag, _product, is_rational, prime_divisors
+from .numberfield import _product, is_rational, prime_divisors
 from .qseries import QExpansion, exp_from_logderiv, first_disagreement
 from .subgroup import GroupDescriptor, kappa
 
@@ -114,47 +115,7 @@ class DenominatorReport:
 
 
 # ----------------------------------------------------------------------
-# prefix recursions
-
-
-def cofactor_prefix(f: PGMF, f1_prefix, kap: int):
-    """Coefficients a0(0..kappa) solving a(h+n) = sum a1(h+j) a0(n-j),
-    i.e. q^-h f divided by the prefix series.
-
-    ``f1_prefix`` holds a1(h..h+kappa) with a1(h) = 1; both f and the
-    prefix must be normalized.
-    """
-    if kap < 0:
-        raise MalformedInputError("kappa must be nonnegative")
-    e = f.expansion
-    if not f.normalized:
-        raise NotNormalizedError("f must have leading coefficient 1")
-    field = e.field
-    prefix = [field.coerce(x) for x in f1_prefix]
-    if len(prefix) != kap + 1:
-        raise MalformedInputError(
-            f"prefix must have length kappa+1 = {kap + 1}, got {len(prefix)}"
-        )
-    if prefix[0] != field.one:
-        raise NotNormalizedError("prefix must start with 1")
-    h = e.lead
-    if e.precision < h + kap + 1:
-        raise PrecisionError(
-            f"need {kap + 1} coefficients of f from its lead, have {e.precision - h}"
-        )
-    prefix_series = QExpansion(e.level, 0, prefix, kap + 1, field)
-    return list(e.shift(-h).truncate(kap + 1).divide(prefix_series).coeffs)
-
-
-def logderiv_prefix(a0):
-    """Coefficients b0(1..kappa) from n a0(n) = sum_{k<=n} b0(k) a0(n-k),
-    i.e. the theta-logarithmic derivative of the series with coefficients a0."""
-    if not a0 or a0[0] != 1:
-        raise NotNormalizedError("a0 must start with 1")
-    # the field of the first cyclotomic entry; Q (conductor None) if none
-    conductor = next((c.conductor for c in a0 if isinstance(c, CyclotomicElement)), None)
-    logd = QExpansion(1, 0, a0, len(a0), FieldTag(conductor)).theta_logderiv()
-    return [logd.coeff(n) for n in range(1, len(a0))]
+# decomposition
 
 
 def fit_cusp_form(b0_prefix, basis: CuspFormBasis) -> FitResult:
@@ -195,10 +156,6 @@ def fit_cusp_form(b0_prefix, basis: CuspFormBasis) -> FitResult:
     return FitResult(tuple(x), None)
 
 
-# ----------------------------------------------------------------------
-# decomposition
-
-
 def working_precision(f: PGMF, precision: int) -> int:
     """Precision to which g0, f0 and the basis forms are needed for a
     decomposition of f to ``precision``.
@@ -225,12 +182,16 @@ def decompose_with_prefix(
 ) -> CanonicalDecomposition:
     """Reconstruct the canonical decomposition from the unitary-part prefix.
 
-    Pipeline: prefix -> a0 prefix -> b0 prefix -> g0 (exact basis fit)
-    -> f0 = exp of the integrated g0 -> f1 = f / f0.  When the cusp form
-    space is trivial this collapses to f1 = f, f0 = 1 (with the prefix
-    checked against f, so a wrong prefix still surfaces as a witness).
+    Pipeline: prefix a1(h..h+kappa) -> a0 = q^-h f divided by the prefix
+    series (``divide``) -> b0 = theta a0 / a0 (``theta_logderiv``) -> g0
+    (exact basis fit) -> f0 = exp of the integrated g0 -> f1 = f / f0.
+    When the cusp form space is trivial this collapses to f1 = f, f0 = 1
+    (with the prefix checked against f, so a wrong prefix still surfaces
+    as a witness).
 
-    Raises PrefixInconsistentError when the fit has no solution, and
+    Raises PrefixInconsistentError when the fit has no solution,
+    NotNormalizedError when f or the prefix does not start with 1,
+    MalformedInputError when the prefix is not kappa+1 long, and
     PrecisionError when f, the basis, or the prefix cannot support the
     requested precision.
     """
@@ -242,9 +203,25 @@ def decompose_with_prefix(
         raise PrecisionError(
             f"f is known to precision {e.precision}, below target {target_precision}"
         )
-    a0 = cofactor_prefix(f, f1_prefix, kap)
-    b0 = logderiv_prefix(a0)
-    fit = fit_cusp_form(b0, basis)
+    if not f.normalized:
+        raise NotNormalizedError("f must have leading coefficient 1")
+    field = e.field
+    prefix = [field.coerce(x) for x in f1_prefix]
+    if len(prefix) != kap + 1:
+        raise MalformedInputError(
+            f"prefix must have length kappa+1 = {kap + 1}, got {len(prefix)}"
+        )
+    if prefix[0] != field.one:
+        raise NotNormalizedError("prefix must start with 1")
+    h = e.lead
+    if e.precision < h + kap + 1:
+        raise PrecisionError(
+            f"need {kap + 1} coefficients of f from its lead, have {e.precision - h}"
+        )
+    prefix_series = QExpansion(e.level, 0, prefix, kap + 1, field)
+    a0 = e.shift(-h).truncate(kap + 1).divide(prefix_series)
+    b0 = a0.theta_logderiv()
+    fit = fit_cusp_form([b0.coeff(n) for n in range(1, kap + 1)], basis)
     if not fit.consistent:
         raise PrefixInconsistentError(fit.witness)
     coords = fit.coords
@@ -261,7 +238,7 @@ def decompose_with_prefix(
             )
     g0 = basis_combination(coords, basis.forms, e.level, working)
 
-    f0 = exp_from_logderiv(g0, working).promote(e.field)
+    f0 = exp_from_logderiv(g0, working).promote(field)
     f1 = e.divide(f0, target_precision)
     return CanonicalDecomposition(
         f1=PGMF(f1, f.group),

@@ -495,6 +495,27 @@ class TestCertify:
         assert len(results) == 2
         assert all(r["certificate"]["verdict"] == "finite-order-consistent" for r in results)
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failing_file_reported_and_batch_goes_on(self, capsys, tmp_path, f11_path, jobs):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{}")
+        argv = ["certify", "--f", f11_path, str(bad), f11_path, "--group", "gamma0:11",
+                "--prec", "20"]
+        results = invoke_json(capsys, *argv, "--jobs", jobs)
+        assert [r["input"] for r in results] == [f11_path, str(bad), f11_path]
+        good = invoke_json(capsys, "certify", "--f", f11_path, "--group", "gamma0:11",
+                           "--prec", "20")
+        assert results[0] == results[2] == {"input": f11_path, "certificate": good}
+        assert results[1] == {"input": str(bad), "error_kind": "malformed-input",
+                              "message": "series object missing keys: "
+                                         "['coeffs', 'field', 'lead', 'level', 'precision']"}
+
+    def test_bad_group_refuses_the_batch(self, capsys, f11_path):
+        code, out = invoke(capsys, "certify", "--f", f11_path, f11_path, "--group", "gamma0:x",
+                           "--prec", "20", "--jobs", "2")
+        assert code == 2
+        assert json.loads(out)["error_kind"] == "bad-group-descriptor"
+
 
 class TestAuxiliaryVerbs:
     def test_denom_primes(self, capsys, tmp_path):

@@ -12,13 +12,13 @@ from gmfkit.errors import (
     PrecisionError,
     PrefixInconsistentError,
 )
-from gmfkit.etaforms import EtaQuotient, eta_quotient_expansion, load_basis, shipped_levels
+from gmfkit.etaforms import CuspFormBasis, EtaQuotient, eta_quotient_expansion, load_basis
+from gmfkit.etaforms import shipped_levels
 from gmfkit.gmfcore import (
     PGMF,
     CanonicalDecomposition,
     CertificateVerdict,
     all_checks_passed,
-    cofactor_prefix,
     decompose_with_prefix,
     decomposition_from_obj,
     decomposition_to_obj,
@@ -27,7 +27,6 @@ from gmfkit.gmfcore import (
     fit_cusp_form,
     galois_norm,
     k_operator,
-    logderiv_prefix,
     pgmf_power,
     pgmf_product,
     self_prefix,
@@ -45,58 +44,73 @@ EMPTY = load_basis(SL2, 40)
 ETA11 = eta_quotient_expansion(EtaQuotient(((1, 2), (11, 2)), 11), 80)
 
 
+def cofactor(f, prefix):
+    """a0 = q^-h f divided by the prefix series, to len(prefix) terms: the
+    first stage of decompose_with_prefix."""
+    prefix_series = QExpansion(f.level, 0, prefix, len(prefix), f.field)
+    return list(f.shift(-f.lead).truncate(len(prefix)).divide(prefix_series).coeffs)
+
+
+def b0_prefix(a0, field=RATIONAL):
+    """b0(1..kappa): the coefficients of theta a0 / a0, the second stage."""
+    logd = QExpansion(1, 0, a0, len(a0), field).theta_logderiv()
+    return [logd.coeff(n) for n in range(1, len(a0))]
+
+
 class TestCofactorPrefix:
     def test_worked_product(self):
-        f = PGMF(QExpansion(1, 1, [1, 0, -1], 10), G11)  # q - q^3 = (q - q^2)(1 + q)
-        assert cofactor_prefix(f, [1, -1], 1) == [F(1), F(1)]
+        f = QExpansion(1, 1, [1, 0, -1], 10)  # q - q^3 = (q - q^2)(1 + q)
+        assert cofactor(f, [1, -1]) == [F(1), F(1)]
 
     def test_own_prefix_forces_trivial_cofactor(self):
-        f = PGMF(ETA11, G11)
-        assert cofactor_prefix(f, [1, -2], 1) == [F(1), F(0)]
-        long = cofactor_prefix(f, self_prefix(f, 6), 6)
+        assert cofactor(ETA11, [1, -2]) == [F(1), F(0)]
+        long = cofactor(ETA11, self_prefix(PGMF(ETA11, G11), 6))
         assert long == [F(1)] + [F(0)] * 6
 
     def test_kappa_zero(self):
-        f = PGMF(QExpansion(1, 0, [1, 9, 4], 5), SL2)
-        assert cofactor_prefix(f, [1], 0) == [F(1)]
+        assert cofactor(QExpansion(1, 0, [1, 9, 4], 5), [1]) == [F(1)]
 
+    # the guards decompose_with_prefix runs before the division
     def test_requires_normalized(self):
         f = PGMF(QExpansion(1, 0, [2, 1], 4), SL2)
-        with pytest.raises(NotNormalizedError):
-            cofactor_prefix(f, [1], 0)
+        with pytest.raises(NotNormalizedError, match="f must have leading coefficient 1"):
+            decompose_with_prefix(f, [1], CuspFormBasis(SL2, ()), 4)
 
     def test_prefix_length_checked(self):
-        f = PGMF(QExpansion(1, 0, [1, 1, 1], 5), SL2)
-        with pytest.raises(MalformedInputError):
-            cofactor_prefix(f, [1, 0, 0], 1)
+        f = PGMF(QExpansion(1, 0, [1, 1, 1], 5), G11)
+        with pytest.raises(MalformedInputError, match="length kappa\\+1 = 2, got 3"):
+            decompose_with_prefix(f, [1, 0, 0], CuspFormBasis(G11, ()), 5)
 
     def test_precision_guard(self):
-        f = PGMF(QExpansion(1, 0, [1, 1], 2), SL2)
-        with pytest.raises(PrecisionError):
-            cofactor_prefix(f, [1, 1, 1], 2)
+        g17 = GroupDescriptor(GAMMA0, 17)
+        assert kappa(g17) == 2
+        f = PGMF(QExpansion(1, 0, [1, 1], 2), g17)
+        with pytest.raises(PrecisionError, match="need 3 coefficients of f from its lead"):
+            decompose_with_prefix(f, [1, 1, 1], CuspFormBasis(g17, ()), 2)
 
 
 class TestLogderivPrefix:
     def test_trivial(self):
-        assert logderiv_prefix([F(1), F(0), F(0), F(0)]) == [F(0)] * 3
+        assert b0_prefix([F(1), F(0), F(0), F(0)]) == [F(0)] * 3
 
     def test_single_step(self):
-        assert logderiv_prefix([F(1), F(1)]) == [F(1)]
+        assert b0_prefix([F(1), F(1)]) == [F(1)]
 
     def test_exponential_pattern(self):
-        assert logderiv_prefix([F(1), F(1), F(1, 2)]) == [F(1), F(0)]
+        assert b0_prefix([F(1), F(1), F(1, 2)]) == [F(1), F(0)]
 
     def test_inverts_exp(self):
         g = QExpansion(1, 1, [F(3), F(-1, 2), F(5)], 4)
         f = exp_from_logderiv(g, 4)
-        assert logderiv_prefix(list(f.coeffs)) == [F(3), F(-1, 2), F(5)]
+        assert b0_prefix(list(f.coeffs)) == [F(3), F(-1, 2), F(5)]
 
     def test_cyclotomic_coefficients(self):
         z = CyclotomicElement.zeta(3)
         one = CyclotomicElement.from_rational(3, 1)
+        q3 = FieldTag.cyclotomic(3)
         # b0(1) = a0(1) = z; b0(2) = 2 a0(2) - b0(1) a0(1) = z^2
-        assert logderiv_prefix([one, z, z * z]) == [z, z * z]
-        assert logderiv_prefix([F(1), z, z * z]) == [z, z * z]
+        assert b0_prefix([one, z, z * z], q3) == [z, z * z]
+        assert b0_prefix([F(1), z, z * z], q3) == [z, z * z]
 
 
 class TestFitCuspForm:

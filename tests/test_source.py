@@ -187,3 +187,16 @@ def test_series_canonical_by_construction():
     # one lcm of denominators, shared by elements and JSON text
     assert callers("lcm", in_loop=True) == ["numberfield._over_lcm"]
     assert {"numberfield._integer_form", "jsonio.series_from_obj"} <= set(callers("_over_lcm"))
+
+
+def test_prefix_stage_runs_on_series():
+    # the decomposition's prefix stage divides and takes the logarithmic
+    # derivative on series: gmfcore neither reads a series' elements as a
+    # list nor rebuilds a field from the types of elements
+    tree = ast.parse((Path(gmfkit.__file__).parent / "gmfcore.py").read_text(encoding="utf-8"))
+    coeffs = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr == "coeffs"]
+    assert coeffs == []
+    assert [c for c in callers("FieldTag") if c.startswith("gmfcore.")] == []
+    assert "gmfcore.decompose_with_prefix" in callers("theta_logderiv")
+    assert "gmfcore.decompose_with_prefix" in callers("divide")
