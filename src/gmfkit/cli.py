@@ -22,10 +22,11 @@ from .etaforms import (
 )
 from .gmfcore import (
     PGMF,
-    certificate_to_obj,
+    CanonicalDecomposition,
+    Certificate,
+    CertificateVerdict,
+    InconsistencyWitness,
     decompose_with_prefix,
-    decomposition_from_obj,
-    decomposition_to_obj,
     denominator_prime_report,
     finite_order_certificate,
     galois_norm,
@@ -86,6 +87,52 @@ def _load_f_and_basis(path, group, prec, basis_path):
     for decomposing it to ``prec``."""
     f = PGMF(_load_series(path), group)
     return f, load_basis(group, working_precision(f, prec), basis_path)
+
+
+# ----------------------------------------------------------------------
+# JSON shapes of the decomposition results
+
+
+def witness_to_obj(witness: InconsistencyWitness) -> dict:
+    return {
+        "row": witness.row,
+        "residual": None if witness.residual is None else jsonio.format_rational(witness.residual),
+        "reason": witness.reason,
+    }
+
+
+def decomposition_to_obj(dec: CanonicalDecomposition, checks=None) -> dict:
+    obj = {
+        "f1": jsonio.series_to_obj(dec.f1.expansion),
+        "f0": jsonio.series_to_obj(dec.f0.expansion),
+        "g0": jsonio.series_to_obj(dec.g0),
+        "basis_coords": [jsonio.format_rational(c) for c in dec.basis_coords],
+    }
+    if checks is not None:
+        obj["checks"] = checks
+    return obj
+
+
+def decomposition_from_obj(obj, group: GroupDescriptor) -> CanonicalDecomposition:
+    jsonio.require_json(obj, dict, "decomposition must be a JSON object")
+    missing = {"f1", "f0", "g0", "basis_coords"} - set(obj)
+    if missing:
+        raise MalformedInputError(f"decomposition object missing keys: {sorted(missing)}")
+    coords = jsonio.require_json(obj["basis_coords"], list, "basis_coords must be a JSON array")
+    return CanonicalDecomposition(
+        f1=PGMF(jsonio.series_from_obj(obj["f1"]), group),
+        f0=PGMF(jsonio.series_from_obj(obj["f0"]), group),
+        g0=jsonio.series_from_obj(obj["g0"]),
+        basis_coords=tuple(jsonio.parse_rational(c) for c in coords),
+    )
+
+
+def certificate_to_obj(cert: Certificate) -> dict:
+    if cert.verdict is CertificateVerdict.PREFIX_INCONSISTENT:
+        detail = {"witness": witness_to_obj(cert.witness)}
+    else:
+        detail = {"decomposition": decomposition_to_obj(cert.decomposition)}
+    return {"verdict": cert.verdict.value, "detail": detail}
 
 
 # ----------------------------------------------------------------------
@@ -214,10 +261,10 @@ def cmd_k_op(args):
 
 
 def cmd_denom_primes(args):
-    report = denominator_prime_report(_load_f(args.f, args.group))
+    f = _load_f(args.f, args.group)
     return {
-        "primes": sorted(report.primes),
-        "from_cyclotomic_coordinates": report.from_cyclotomic_coordinates,
+        "primes": sorted(denominator_prime_report(f)),
+        "from_cyclotomic_coordinates": not f.expansion.field.is_rational_field,
     }
 
 
@@ -359,7 +406,7 @@ def run(argv=None) -> int:
                 handle.write(text + "\n")
             return 0
         except OSError as exc:  # worded as jsonio.load_json_file words an unreadable input
-            payload = {"error_kind": "malformed-input", "message": f"{args.output}: {exc.strerror or exc}"}
+            payload = _error_obj(MalformedInputError(f"{args.output}: {exc.strerror or exc}"))
             text, code = jsonio.dumps(payload), 2
     try:
         print(text)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import mul
 
 from . import jsonio
@@ -154,7 +153,6 @@ def eta_quotient_expansion(eq: EtaQuotient, precision: int) -> QExpansion:
     return unit.rescale_level(out_level).shift(lead).truncate(precision)
 
 
-@lru_cache(maxsize=512)
 def _unit_factor(d: int, r: int, terms: int) -> QExpansion:
     """prod_k (1 - q^(d k))^r to ``terms`` terms, a unit series at level 1.
 

@@ -14,9 +14,11 @@ prefix series), the coefficients b0(n) of g0 out of the cofactor's
 ``theta_logderiv``, g0 itself out of an exact overdetermined solve
 against the basis (the leading kappa x d coefficient matrix has full
 column rank), and then f0 = exp of the integrated g0 and f1 = f / f0 to
-any precision f supports.  An inconsistent solve is first-class data: it
-certifies that the supplied prefix is not the leading part of any
-decomposition.
+any precision f supports.  A failing fit raises its witness, the first
+row that does not fit, in a PrefixInconsistentError: it certifies that
+the supplied prefix is not the leading part of any decomposition.
+
+Results are plain values; their JSON shapes belong to ``cli``.
 """
 
 from __future__ import annotations
@@ -39,9 +41,7 @@ from .errors import (
     PrefixInconsistentError,
 )
 from .etaforms import CuspFormBasis
-from .jsonio import all_checks_passed  # noqa: F401  (re-exported)
-from .jsonio import check_entry, format_rational, parse_rational, require_json
-from .jsonio import series_from_obj, series_to_obj
+from .jsonio import check_entry
 from .linalg import solve_full_column_rank
 from .numberfield import _product, is_rational, prime_divisors
 from .qseries import QExpansion, exp_from_logderiv, first_disagreement
@@ -76,16 +76,6 @@ class InconsistencyWitness:
 
 
 @dataclass(frozen=True)
-class FitResult:
-    coords: tuple | None
-    witness: InconsistencyWitness | None
-
-    @property
-    def consistent(self) -> bool:
-        return self.witness is None
-
-
-@dataclass(frozen=True)
 class CanonicalDecomposition:
     """The triple certifying f = f1 * f0 to working precision."""
 
@@ -108,52 +98,43 @@ class Certificate:
     witness: InconsistencyWitness | None
 
 
-@dataclass(frozen=True)
-class DenominatorReport:
-    primes: frozenset
-    from_cyclotomic_coordinates: bool
-
-
 # ----------------------------------------------------------------------
 # decomposition
 
 
-def fit_cusp_form(b0_prefix, basis: CuspFormBasis) -> FitResult:
-    """Exact solve of the leading-coefficient system A c = b0.
+def fit_cusp_form(b0_prefix, basis: CuspFormBasis) -> tuple:
+    """Exact solve of the leading-coefficient system A c = b0: the
+    coordinates c.
 
     Rows are indexed by the exponent n = 1..len(b0); by the validated
     rank invariant the solution is unique when one exists.  The first
-    failing row is returned as a witness, which is the structural signal
-    that the supplied unitary-part prefix belongs to no decomposition.
+    failing row is raised as the witness of a PrefixInconsistentError,
+    which is the structural signal that the supplied unitary-part prefix
+    belongs to no decomposition.
     """
     d = basis.dimension
     if d > len(b0_prefix):
         raise CorruptBasisError(
             f"basis dimension {d} exceeds the {len(b0_prefix)} available rows"
         )
-    b = []
-    for i, x in enumerate(b0_prefix):
-        ok, value = is_rational(x)
-        if not ok:
-            return FitResult(
-                None,
-                InconsistencyWitness(
-                    row=i + 1, residual=None, reason="coefficient is not rational-valued"
-                ),
-            )
-        b.append(value)
-    a_rows = [[form.coeff(n) for form in basis.forms] for n in range(1, len(b) + 1)]
-    x, bad = solve_full_column_rank(a_rows, b)
+    rational = [is_rational(x) for x in b0_prefix]
+    bad = next((i for i, (ok, _) in enumerate(rational) if not ok), None)
     if bad is not None:
+        residual, reason = None, "coefficient is not rational-valued"
+    else:
+        b = [value for _, value in rational]
+        a_rows = [[form.coeff(n) for form in basis.forms] for n in range(1, len(b) + 1)]
+        x, bad = solve_full_column_rank(a_rows, b)
+        if bad is None:
+            return tuple(x)
         residual = b[bad] - sum(a_rows[bad][j] * x[j] for j in range(d))
         if d == 0:
             reason = "no cusp forms exist but the prefix forces a nonzero g0"
         else:
             reason = "row contradicts the unique fit"
-        return FitResult(
-            None, InconsistencyWitness(row=bad + 1, residual=residual, reason=reason)
-        )
-    return FitResult(tuple(x), None)
+    raise PrefixInconsistentError(
+        InconsistencyWitness(row=bad + 1, residual=residual, reason=reason)
+    )
 
 
 def working_precision(f: PGMF, precision: int) -> int:
@@ -221,10 +202,7 @@ def decompose_with_prefix(
     prefix_series = QExpansion(e.level, 0, prefix, kap + 1, field)
     a0 = e.shift(-h).truncate(kap + 1).divide(prefix_series)
     b0 = a0.theta_logderiv()
-    fit = fit_cusp_form([b0.coeff(n) for n in range(1, kap + 1)], basis)
-    if not fit.consistent:
-        raise PrefixInconsistentError(fit.witness)
-    coords = fit.coords
+    coords = fit_cusp_form([b0.coeff(n) for n in range(1, kap + 1)], basis)
 
     working = working_precision(f, target_precision)
     for form in basis.forms:
@@ -398,62 +376,15 @@ def pgmf_power(f: PGMF, m: int) -> PGMF:
     return PGMF(f.expansion ** m, f.group)
 
 
-def denominator_prime_report(f: PGMF) -> DenominatorReport:
+def denominator_prime_report(f: PGMF) -> frozenset:
     """Primes dividing any known coefficient denominator.
 
-    Over a cyclotomic field the primes of the power-basis coordinate
-    denominators are reported instead, flagged as such.  Each distinct
-    reduced denominator is factored on its own: their lcm, the stored
-    denominator, may be a product of primes too tall to split by trial
-    division.
+    Over a cyclotomic field these are the primes of the power-basis
+    coordinate denominators.  Each distinct reduced denominator is
+    factored on its own: their lcm, the stored denominator, may be a
+    product of primes too tall to split by trial division.
     """
     e = f.expansion
     dens = {e.den // gcd(e.den, x) for x in e.nums}
-    primes = frozenset(p for d in dens for p in prime_divisors(d))
-    return DenominatorReport(primes, not e.field.is_rational_field)
+    return frozenset(p for d in dens for p in prime_divisors(d))
 
-
-# ----------------------------------------------------------------------
-# JSON shapes
-
-
-def witness_to_obj(witness: InconsistencyWitness) -> dict:
-    return {
-        "row": witness.row,
-        "residual": None if witness.residual is None else format_rational(witness.residual),
-        "reason": witness.reason,
-    }
-
-
-def decomposition_to_obj(dec: CanonicalDecomposition, checks=None) -> dict:
-    obj = {
-        "f1": series_to_obj(dec.f1.expansion),
-        "f0": series_to_obj(dec.f0.expansion),
-        "g0": series_to_obj(dec.g0),
-        "basis_coords": [format_rational(c) for c in dec.basis_coords],
-    }
-    if checks is not None:
-        obj["checks"] = checks
-    return obj
-
-
-def decomposition_from_obj(obj, group: GroupDescriptor) -> CanonicalDecomposition:
-    require_json(obj, dict, "decomposition must be a JSON object")
-    missing = {"f1", "f0", "g0", "basis_coords"} - set(obj)
-    if missing:
-        raise MalformedInputError(f"decomposition object missing keys: {sorted(missing)}")
-    coords = require_json(obj["basis_coords"], list, "basis_coords must be a JSON array")
-    return CanonicalDecomposition(
-        f1=PGMF(series_from_obj(obj["f1"]), group),
-        f0=PGMF(series_from_obj(obj["f0"]), group),
-        g0=series_from_obj(obj["g0"]),
-        basis_coords=tuple(parse_rational(c) for c in coords),
-    )
-
-
-def certificate_to_obj(cert: Certificate) -> dict:
-    if cert.verdict is CertificateVerdict.PREFIX_INCONSISTENT:
-        detail = {"witness": witness_to_obj(cert.witness)}
-    else:
-        detail = {"decomposition": decomposition_to_obj(cert.decomposition)}
-    return {"verdict": cert.verdict.value, "detail": detail}

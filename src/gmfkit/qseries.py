@@ -295,17 +295,16 @@ class QExpansion:
             if self.is_zero:
                 return QExpansion.one(self.level, max(self.precision, 1), self.field)
             return QExpansion.one(self.level, self.relative_precision, self.field)
-        if m < 0:
-            return self.inverse() ** (-m)
-        # each integer coordinate of f ** m over den ** m is at most
-        # (sum |nums|) ** m, which is tight at small m
-        bits = m * ((sum(map(abs, self.nums)) * self.den).bit_length() - 1)
-        if m > 1 and bits > MAX_POWER_BITS:
+        base, n = (self.inverse(), -m) if m < 0 else (self, m)
+        # each integer coordinate of base ** n over den ** n is at most
+        # (sum |nums|) ** n, which is tight at small n
+        bits = n * ((sum(map(abs, base.nums)) * base.den).bit_length() - 1)
+        if n > 1 and bits > MAX_POWER_BITS:
             raise PrecisionError(
                 f"f ** {m} would have coefficients of up to about {bits} bits, "
                 f"past the cap of {MAX_POWER_BITS}"
             )
-        return _power(self, m)
+        return _power(base, n)
 
     # ------------------------------------------------------------------
     # logarithmic derivative and friends

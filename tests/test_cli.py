@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 
 import gmfkit
 from gmfkit import jsonio
-from gmfkit.cli import run
+from gmfkit.cli import decomposition_to_obj, run
 from gmfkit.etaforms import CuspFormBasis, EtaQuotient, eta_quotient_expansion, validate_basis
 from gmfkit.etaforms import shipped_levels, shipped_quotient
-from gmfkit.gmfcore import PGMF, decompose_with_prefix, decomposition_to_obj
+from gmfkit.gmfcore import PGMF, decompose_with_prefix
 from gmfkit.numberfield import MAX_CONDUCTOR, CyclotomicElement, FieldTag, euler_phi
 from gmfkit.qseries import QExpansion, exp_from_logderiv
 from gmfkit.subgroup import MAX_INDEX, GroupDescriptor

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import assert_agree
+from gmfkit.cli import decomposition_from_obj, decomposition_to_obj
 from gmfkit.errors import (
     GroupMismatchError,
     MalformedInputError,
@@ -18,10 +19,7 @@ from gmfkit.gmfcore import (
     PGMF,
     CanonicalDecomposition,
     CertificateVerdict,
-    all_checks_passed,
     decompose_with_prefix,
-    decomposition_from_obj,
-    decomposition_to_obj,
     denominator_prime_report,
     finite_order_certificate,
     fit_cusp_form,
@@ -32,6 +30,7 @@ from gmfkit.gmfcore import (
     self_prefix,
     verify_decomposition,
 )
+from gmfkit.jsonio import all_checks_passed
 from gmfkit.numberfield import RATIONAL, CyclotomicElement, FieldTag
 from gmfkit.qseries import QExpansion, exp_from_logderiv
 from gmfkit.subgroup import GAMMA0, GroupDescriptor, kappa
@@ -115,21 +114,18 @@ class TestLogderivPrefix:
 
 class TestFitCuspForm:
     def test_one_dimensional(self):
-        fit = fit_cusp_form([F(3)], BASIS11)
-        assert fit.consistent and fit.coords == (F(3),)
+        assert fit_cusp_form([F(3)], BASIS11) == (F(3),)
 
     def test_zero_vector(self):
-        fit = fit_cusp_form([F(0)], BASIS11)
-        assert fit.coords == (F(0),)
+        assert fit_cusp_form([F(0)], BASIS11) == (F(0),)
 
     def test_empty_basis_inconsistency(self):
-        fit = fit_cusp_form([F(0), F(2)], EMPTY)
-        assert not fit.consistent
-        assert fit.witness.row == 2 and fit.witness.residual == F(2)
+        with pytest.raises(PrefixInconsistentError) as info:
+            fit_cusp_form([F(0), F(2)], EMPTY)
+        assert info.value.witness.row == 2 and info.value.witness.residual == F(2)
 
     def test_empty_basis_zero_prefix(self):
-        fit = fit_cusp_form([F(0), F(0)], EMPTY)
-        assert fit.consistent and fit.coords == ()
+        assert fit_cusp_form([F(0), F(0)], EMPTY) == ()
 
     def test_overdetermined_consistent(self):
         # two-column synthetic basis over gamma0:11's kappa is impossible,
@@ -145,19 +141,20 @@ class TestFitCuspForm:
         basis = CuspFormBasis(g7, (f1, f2, f3))
         combo = f1.scale(2) + f2.scale(F(-1, 3)) + f3.scale(5)
         b0 = [combo.coeff(n) for n in range(1, 6)]
-        fit = fit_cusp_form(b0, basis)
-        assert fit.coords == (F(2), F(-1, 3), F(5))
+        assert fit_cusp_form(b0, basis) == (F(2), F(-1, 3), F(5))
 
         bad = list(b0)
         bad[4] += F(1, 7)
-        fit2 = fit_cusp_form(bad, basis)
-        assert not fit2.consistent and fit2.witness.row == 5
-        assert fit2.witness.residual == F(1, 7)
+        with pytest.raises(PrefixInconsistentError) as info:
+            fit_cusp_form(bad, basis)
+        assert info.value.witness.row == 5
+        assert info.value.witness.residual == F(1, 7)
 
     def test_cyclotomic_value_witness(self):
         z = CyclotomicElement.zeta(3)
-        fit = fit_cusp_form([z], BASIS11)
-        assert not fit.consistent and fit.witness.row == 1 and fit.witness.residual is None
+        with pytest.raises(PrefixInconsistentError) as info:
+            fit_cusp_form([z], BASIS11)
+        assert info.value.witness.row == 1 and info.value.witness.residual is None
 
 
 def synthetic_worked_example(precision=60):
@@ -506,21 +503,18 @@ class TestProductsAndPowers:
 
 class TestDenominatorReport:
     def test_integral_eta_quotient(self):
-        report = denominator_prime_report(PGMF(ETA11.truncate(30), G11))
-        assert report.primes == frozenset() and not report.from_cyclotomic_coordinates
+        assert denominator_prime_report(PGMF(ETA11.truncate(30), G11)) == frozenset()
 
     def test_exp_factorial_denominators(self):
         e = exp_from_logderiv(QExpansion.monomial(1, 1, 6), 6)
-        report = denominator_prime_report(PGMF(e, SL2))
-        assert report.primes == {2, 3, 5}
+        assert denominator_prime_report(PGMF(e, SL2)) == {2, 3, 5}
 
     def test_single_denominator(self):
         f = PGMF(QExpansion(1, 0, [1, F(1, 7)], 4), SL2)
-        assert denominator_prime_report(f).primes == {7}
+        assert denominator_prime_report(f) == {7}
 
     def test_cyclotomic_flagged(self):
         tag = FieldTag.cyclotomic(4)
         z = CyclotomicElement(4, [F(1, 6), F(1, 5)])
         f = PGMF(QExpansion(1, 0, [1, z], 4, tag), SL2)
-        report = denominator_prime_report(f)
-        assert report.from_cyclotomic_coordinates and report.primes == {2, 3, 5}
+        assert denominator_prime_report(f) == {2, 3, 5}

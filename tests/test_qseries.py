@@ -206,6 +206,9 @@ class TestPow:
         for m in (top + 1, -top - 1, 10**100):
             with pytest.raises(PrecisionError, match="past the cap"):
                 f ** m
+        # a negative exponent is refused under the exponent asked for
+        with pytest.raises(PrecisionError, match=rf"^f \*\* {-top - 1} would"):
+            f ** (-top - 1)
         # an eta factor at the exponent cap: 1 / prod (1 - q^n) to the 1000th
         assert (euler_product(200) ** -1000).coeff(1) == 1000
 

@@ -200,3 +200,19 @@ def test_prefix_stage_runs_on_series():
     assert [c for c in callers("FieldTag") if c.startswith("gmfcore.")] == []
     assert "gmfcore.decompose_with_prefix" in callers("theta_logderiv")
     assert "gmfcore.decompose_with_prefix" in callers("divide")
+
+
+def test_core_returns_values():
+    # gmfcore computes and cli formats: the core holds no JSON shape, reads
+    # nothing of jsonio but its check entries, and a failing fit raises its
+    # witness where it is found rather than wrapping it for the caller
+    path = Path(gmfkit.__file__).parent / "gmfcore.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    shapes = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name.endswith(("_to_obj", "_from_obj"))]
+    assert shapes == []
+    from_jsonio = [alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "jsonio"
+                   for alias in node.names]
+    assert from_jsonio == ["check_entry"]
+    assert callers("PrefixInconsistentError") == ["gmfcore.fit_cusp_form"]
