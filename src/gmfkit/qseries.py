@@ -40,18 +40,30 @@ elements too), packs both operands into one integer, so that CPython's
 Karatsuba multiply does all of it, unless the bit heights are so lopsided
 that integer dot products cost less; the choice depends only on the
 operands' lengths and bit lengths.  ``divide`` (and through it
-``inverse``), ``theta_logderiv`` (theta f / f) and ``exp_from_logderiv``
-all solve one online recurrence, which keeps each coordinate of its
-unknowns as an integer over their running lcm denominator (already the
-canonical form) and forms each inner sum as phi(m)^2 integer dot products.
-The four kernels whose result may share a factor with its denominator,
-``truncate``, ``+``, ``*`` and ``scale``, divide it out with one running
-gcd that stops at 1 (``_lowest``); every other result is canonical as
-computed.
+``inverse``), ``theta_logderiv`` (theta f / f), ``exp_from_logderiv`` and
+negative powers all solve one online recurrence, ``_recurrence``, which keeps
+each coordinate of its unknowns as an integer over their running lcm
+denominator (already the canonical form) and forms each inner sum as
+phi(m)^2 integer dot products.  Each step picks, from counts alone, the
+terms its sum runs over: all of them, as slices, or only those where the
+known series is nonzero (a fixed list) or where the unknowns found so far
+are (a growing list), whichever list is shorter than half the dense range
+(``SPARSE_STEP``); a coefficient counts as nonzero when any coordinate is.
+Lacunary series, such as the CM newforms of levels 27, 32 and 36 or the
+Euler product, so pay only for their nonzero terms.  A power f ** m with
+m < -1 runs J.C.P. Miller's recurrence
+n a(0) b(n) = sum_k ((m + 1) k - n) a(k) b(n - k) as a mode of the same
+kernel (two weighted sums over the nonzero a(k)), so no inverse is powered;
+m > 1 squares and multiplies.  The four kernels whose result may share a
+factor with its denominator, ``truncate``, ``+``, ``*`` and ``scale``, divide it
+out with one running gcd that stops at 1 (``_lowest``), run from the last
+coordinate, where a denominator built up term by term first shows in full;
+every other result is canonical as computed.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from math import gcd, lcm
 from operator import mul
 
@@ -76,6 +88,11 @@ MAX_TERMS = 100_000
 # decimal text takes seconds.  Every eta factor (prod (1 - q^n) or its
 # inverse to at most MAX_TERMS terms, to a power |r| <= 1,000) stays below.
 MAX_POWER_BITS = 1 << 21
+
+# What one term of a sparse inner sum of ``_recurrence`` costs, in terms of a
+# dense one: a step sums over the nonzero terms alone when that list is
+# shorter than 1 / SPARSE_STEP of the dense range.
+SPARSE_STEP = 2
 
 
 class QExpansion:
@@ -304,7 +321,22 @@ class QExpansion:
                 f"f ** {m} would have coefficients of up to about {bits} bits, "
                 f"past the cap of {MAX_POWER_BITS}"
             )
+        if m < -1:  # the inverse is not powered: Miller's recurrence on self
+            return self._miller(m)
         return _power(base, n)
+
+    def _miller(self, m):
+        """self ** m by J.C.P. Miller's recurrence: for self = q^h (a(0) +
+        a(1) q + ...) and b = a ** m, n a(0) b(n) = sum_{k=1}^{n}
+        ((m + 1) k - n) a(k) b(n - k) for every integer m.  It is linear in
+        b, so it runs from b(0) = 1 and the result is scaled by a(0) ** m."""
+        terms, deg = self.relative_precision, self.field.degree
+        nums, den = _recurrence(
+            self.nums[:deg], self.den, self.nums, self.den, terms, self.field, True, m
+        )
+        power = self._like(m * self.lead, nums, den, m * self.lead + terms)
+        lead = self.coeff(self.lead)
+        return power if lead == 1 else power.scale(lead**m)
 
     # ------------------------------------------------------------------
     # logarithmic derivative and friends
@@ -495,9 +527,12 @@ def first_disagreement(f: QExpansion, g: QExpansion):
 def _lowest(nums, den):
     """(nums, den) with gcd(den, *nums) divided out, found by a running gcd
     that stops at 1: for the results that may share a factor with their
-    denominator (a truncation, a sum, a product, a scaling)."""
+    denominator (a truncation, a sum, a product, a scaling).  The scan runs
+    from the last coordinate: in a series whose denominators grow term by
+    term the full denominator first shows at the tail, so the gcd falls to
+    1 within a few tall steps instead of one tall step per coordinate."""
     g = den
-    for x in nums:
+    for x in reversed(nums):
         if g == 1:
             break
         if x % g:
@@ -505,6 +540,13 @@ def _lowest(nums, den):
     if g > 1:
         nums, den = [x // g for x in nums], den // g
     return nums, den
+
+
+def _nonzero(nums, deg):
+    """The indices of the nonzero coefficients given by integer coordinates
+    ``nums``, deg to a coefficient: those with any coordinate nonzero."""
+    flags = nums if deg == 1 else map(any, zip(*(nums[a::deg] for a in range(deg))))
+    return list(compress(range(len(nums) // deg), flags))
 
 
 def _convolved(a, b, terms, field):
@@ -535,37 +577,77 @@ def _strided(nums, deg, stride):
 # the recurrence kernel (see the module docstring)
 
 
-def _recurrence(r, rd, g, gd, terms, field, by_index=False):
+def _recurrence(r, rd, g, gd, terms, field, by_index=False, power=None):
     """(nums, d): x[0 .. terms-1] of the online recurrence
 
-        x[k] = (r[k] - sum_{j>=1} g[j] x[k-j]) / (g[0] s(k)),
+        x[k] = (r[k] - sum_{j>=1} w(k, j) g[j] x[k-j]) / (g[0] s(k)),
 
-    with s(k) = max(k, 1) when ``by_index`` and s(k) = 1 otherwise, r and g
-    given as integer coordinates over rd and gd and the unknowns returned as
-    integer coordinates over their running lcm denominator d, which is
-    canonical.  Entries of r past its end are zero; g[0] must be nonzero.
+    with s(k) = max(k, 1) when ``by_index`` and s(k) = 1 otherwise, and
+    w(k, j) = k - (m + 1) j for a ``power`` m (J.C.P. Miller's recurrence for
+    (g / g[0]) ** m, given by_index and r = g[0]), else 1.
+    r and g are given as integer coordinates over rd and gd and the unknowns
+    returned as integer coordinates over their running lcm denominator d,
+    which is canonical.  Entries of r and g past their ends are zero; g[0]
+    must be nonzero.
     """
     deg = field.degree
+    if len(g) < terms * deg:  # so that g[k] exists at every step k
+        g = g + [0] * (terms * deg - len(g))
     t = gcd(gd, rd)
     gd, rd = gd // t, rd // t
     # 1 / g[0] = gd unit / c; a rational g[0] is c / gd and needs no unit
     unit, c = (None, g[0]) if not any(g[1:deg]) else _inverse_coords(g[:deg], field.conductor)
     # x[k] = v / (rd c s(k) d) with x[i] = nums[i] / d and
-    # v = (gd d r[k] - rd sum_{j>=1} g[j] nums[k-j]) unit, the sum taken as
-    # one dot product per pair of coordinates (a of g, b of x) into the slot
-    # a + b of a polynomial in zeta
-    top, width, rc = len(g) // deg - 1, 2 * deg - 1, rd * c
-    grev = [g[a::deg][::-1] for a in range(deg)]
-    pairs = [(a, b, a + b) for a in range(deg) if any(grev[a][:top]) for b in range(deg)]
+    # v = (gd d r[k] - rd sum_{j>=1} w(k, j) g[j] nums[k-j]) unit, the sum
+    # taken as one dot product per pair of coordinates (a of g, b of x) into
+    # the slot a + b of a polynomial in zeta
+    width, rc = 2 * deg - 1, rd * c
+    # the indices j >= 1 of the nonzero g[j], and each coordinate a of g at
+    # every j (cols) and at those j alone (gvals); tcols and tvals for
+    # (m + 1) j g[j]
+    gnz = _nonzero(g, deg)[1:]
+    cols = [g[a::deg] for a in range(deg)]
+    gvals = [[col[j] for j in gnz] for col in cols]
+    if power is not None:  # w(k, j) g[j] = k g[j] - (m + 1) j g[j]
+        tcols = [[(power + 1) * j * x for j, x in enumerate(col)] for col in cols]
+        tvals = [[col[j] for j in gnz] for col in tcols]
+    pairs = [(a, b) for a in range(deg) if any(gvals[a]) for b in range(deg)]
+    # the indices of the nonzero unknowns so far (xnz); ng counts the j in
+    # gnz up to k, advanced by at most one a step; gat is gnz times deg,
+    # where the coordinates start
+    gat, xnz, ng = [j * deg for j in gnz], [], 0
     zeros = [0] * deg
     nums, d = [], 1
     for k in range(terms):
-        j = min(k, top)
-        lo = (k - j) * deg
+        # the sum runs over every j = 1 .. k, or over the ng j with g[j]
+        # nonzero, or over the nx with x[k-j] nonzero, whichever is shortest;
+        # a term of a sparse sum costs about SPARSE_STEP of a dense one
+        kd, nx = k * deg, len(xnz)
+        if ng < len(gnz) and gnz[ng] == k:
+            ng += 1
         sums = [0] * width
-        for a, b, e in pairs:
-            sums[e] += sum(map(mul, nums[lo + b :: deg], grev[a][top - j : top]))
-        rk = r[k * deg : (k + 1) * deg] or zeros
+        if SPARSE_STEP * (ng if ng < nx else nx) >= k:
+            # x[0], ..., x[k-1] against g[k], ..., g[1]
+            for a, b in pairs:
+                sums[a + b] += sum(map(mul, nums[b::deg], cols[a][k:0:-1]))
+            if power is not None:
+                sums = [k * x for x in sums]
+                for a, b in pairs:
+                    sums[a + b] -= sum(map(mul, nums[b::deg], tcols[a][k:0:-1]))
+        else:
+            if ng <= nx:
+                at = [kd - j for j in gat[:ng]]
+                gvs = [vals[:ng] for vals in gvals]
+                tvs = None if power is None else [vals[:ng] for vals in tvals]
+            else:
+                js, at = [k - i for i in xnz], [i * deg for i in xnz]
+                gvs = [[col[j] for j in js] for col in cols]
+                tvs = None if power is None else [[col[j] for j in js] for col in tcols]
+            xs = [[nums[i + b] for i in at] for b in range(deg)]
+            for a, b in pairs:
+                dot = sum(map(mul, xs[b], gvs[a]))
+                sums[a + b] += dot if power is None else k * dot - sum(map(mul, xs[b], tvs[a]))
+        rk = r[kd : kd + deg] or zeros
         gdd = gd * d
         v = [gdd * u - rd * w for u, w in zip(rk, field.reduce(sums))]
         if unit is not None:
@@ -579,5 +661,7 @@ def _recurrence(r, rd, g, gd, terms, field, by_index=False):
         if grow > 1:
             d *= grow
             nums = [x * grow for x in nums]
+        if any(v):
+            xnz.append(k)
         nums += [x // t for x in v]
     return nums, d

@@ -18,10 +18,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gmfkit
+import reference_kernels
 from gmfkit import jsonio
 from gmfkit.cli import decomposition_to_obj, run
 from gmfkit.etaforms import CuspFormBasis, EtaQuotient, eta_quotient_expansion, validate_basis
-from gmfkit.etaforms import shipped_levels, shipped_quotient
+from gmfkit.etaforms import euler_product, shipped_levels, shipped_quotient
 from gmfkit.gmfcore import PGMF, decompose_with_prefix
 from gmfkit.numberfield import MAX_CONDUCTOR, CyclotomicElement, FieldTag, euler_phi
 from gmfkit.qseries import QExpansion, exp_from_logderiv
@@ -218,6 +219,22 @@ class TestSeriesVerbs:
         )
         assert proc.returncode == 2, proc.stderr.decode()
         assert json.loads(proc.stdout)["error_kind"] == kind
+
+    def test_long_eta_power_promptly(self):
+        # E^-24 to 16,001 terms, in a child under the limits used above:
+        # inverting E and squaring the inverse ran for minutes, and Miller's
+        # recurrence over the nonzero terms of E takes seconds
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gmfkit.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gmfkit.cli", "eta-expand", "1^-24", "--prec", "16000"],
+            capture_output=True, env=env, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        obj = json.loads(proc.stdout)
+        assert (obj["lead"], obj["precision"], len(obj["coeffs"])) == (-1, 16000, 16001)
+        expected = reference_kernels.power(euler_product(200), -24)
+        assert obj["coeffs"][:200] == [str(c) for c in expected.coeffs]
 
     # the prime conductor at or below the cap: the largest phi(m) accepted
     WORST_CONDUCTOR = max(m for m in range(2, MAX_CONDUCTOR + 1) if euler_phi(m) == m - 1)

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gmfkit import jsonio
+from gmfkit.cli import run
 from gmfkit.errors import (
     CorruptBasisError,
     MalformedInputError,
@@ -201,6 +202,25 @@ def test_quotient_against_integer_product(case):
     assert eta_quotient_expansion(EtaQuotient(pairs, 2 * n), precision) == f
     for d, r in EtaQuotient(pairs, n).terms:
         assert _unit_factor(d, r, terms) == QExpansion(1, 0, unit_product_oracle([(d, r)], terms))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [" ".join(f"{d}^{r}" for d, r in shipped_quotient(n).terms) for n in shipped_levels()]
+    + ["1^24", "1^-24", "1^24 2^-24", "1^6 2^-30", "3^-1 5^2"],
+)
+def test_eta_expand_against_integer_product(capsys, text):
+    # the CLI's expansion of each shipped quotient, and of powers of the
+    # Euler product that take Miller's recurrence or square-and-multiply
+    pairs = EtaQuotient.parse(text).terms
+    s = sum(d * r for d, r in pairs)
+    level, lead = 24 // math.gcd(24, s), s // math.gcd(24, s)
+    terms = 150
+    assert run(["eta-expand", text, "--prec", str(lead + level * (terms - 1) + 1)]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert (obj["level"], obj["lead"]) == (level, lead)
+    w = unit_product_oracle(pairs, terms)
+    assert obj["coeffs"] == [str(w[i // level]) if i % level == 0 else "0" for i in range(len(obj["coeffs"]))]
 
 
 class TestSizeCaps:

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 import reference_kernels as ref
 from gmfkit.errors import GmfError
-from gmfkit.numberfield import CyclotomicElement, FieldTag, _convolve, _dot_products, _kronecker
-from gmfkit.qseries import QExpansion, exp_from_logderiv
+from gmfkit.etaforms import EtaQuotient, eta_quotient_expansion
+from gmfkit.numberfield import RATIONAL, CyclotomicElement, FieldTag, _convolve, _dot_products, _kronecker
+from gmfkit.qseries import QExpansion, _recurrence, exp_from_logderiv
 
 SMALL = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 3))
 # about 3 kbit of numerator and up to 3 kbit of denominator
@@ -114,6 +115,78 @@ def test_theta_logderiv(f):
 @given(series(lead=st.integers(1, 3)), st.integers(1, 40))
 def test_exp_from_logderiv(g, target):
     assert outcome(exp_from_logderiv, g, target) == outcome(ref.exp_from_logderiv, g, target)
+
+
+@st.composite
+def sparse_series(draw, lead=st.integers(-3, 3), size=st.integers(12, 32)):
+    """A level-1 series over Q or Q(zeta_m) with small coordinates whose
+    coefficients past the first are nonzero at a drawn density, so that a
+    recurrence's steps fall on both sides of the switch between a dense and
+    a sparse sum; the leading coefficient is other than 1 in half the draws."""
+    field = draw(FIELD)
+    rnd = draw(st.randoms(use_true_random=False))
+    density = draw(st.sampled_from([0.05, 0.15, 0.3, 0.6, 1.0]))
+
+    def value():
+        coords = [Fraction(rnd.choice([-1, 1]) * rnd.randint(1, 9), rnd.randint(1, 3))
+                  for _ in range(field.degree)]
+        return coords[0] if field.conductor is None else CyclotomicElement(field.conductor, coords)
+
+    terms = draw(size)
+    first = field.one if draw(st.booleans()) else value()
+    body = [value() if rnd.random() < density else field.zero for _ in range(terms - 1)]
+    h = draw(lead)
+    return QExpansion(1, h, [first] + body, h + terms, field)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_series(), sparse_series())
+def test_sparse_recurrences(f, g):
+    # the four recurrence kernels on operands of every density, and a
+    # quotient as sparse as f from the dense g * f and g
+    assert outcome(QExpansion.divide, f, g) == outcome(ref.divide, f, g)
+    assert outcome(QExpansion.divide, g * f, g) == outcome(ref.divide, g * f, g)
+    assert outcome(QExpansion.inverse, f) == outcome(ref.inverse, f)
+    assert outcome(QExpansion.theta_logderiv, f) == outcome(ref.theta_logderiv, f)
+    e = f.shift(1 - f.lead)
+    assert outcome(exp_from_logderiv, e, 40) == outcome(ref.exp_from_logderiv, e, 40)
+
+
+@pytest.mark.parametrize(
+    "pairs, level",
+    [(((6, 4),), 36), (((4, 2), (8, 2)), 32), (((3, 2), (9, 2)), 27), (((1, 2), (11, 2)), 11)],
+    ids=["eta(6z)^4", "eta(4z)^2 eta(8z)^2", "eta(3z)^2 eta(9z)^2", "eta(z)^2 eta(11z)^2"],
+)
+def test_recurrences_on_newforms(pairs, level):
+    # the decomposition's shapes: g0 a newform (lacunary for the first
+    # three), f0 = exp of 59/61 g0 dense and tall, and theta f0 / f0 = g0
+    # as sparse as g0
+    g0 = eta_quotient_expansion(EtaQuotient(pairs, level), 80).scale(Fraction(59, 61))
+    f0 = outcome(exp_from_logderiv, g0, 80)
+    assert f0 == outcome(ref.exp_from_logderiv, g0, 80)
+    assert outcome(QExpansion.theta_logderiv, f0) == outcome(ref.theta_logderiv, f0)
+    assert outcome(QExpansion.theta_logderiv, g0) == outcome(ref.theta_logderiv, g0)
+    assert outcome(QExpansion.divide, g0, f0) == outcome(ref.divide, g0, f0)
+
+
+def test_recurrence_past_short_operands():
+    # r and g are zero past their ends: 3 / (2 - q^3) = 3/2 + 3/4 q^3 + 3/8 q^6
+    # to seven terms from a g of four coefficients and an r of one
+    assert _recurrence([1], 1, [2, 0, 0, -1], 3, 7, RATIONAL) == ([12, 0, 0, 6, 0, 0, 3], 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_series(lead=st.integers(-2, 2), size=st.integers(1, 10)), st.integers(1, 30), st.booleans())
+def test_pow_by_miller(f, n, negative):
+    # Miller's recurrence alone, and the power (Miller's recurrence for
+    # m < -1), for m = +-1 .. +-30 on sparse and dense bases with leads
+    # other than 1
+    m = -n if negative else n
+    expected = outcome(ref.power, f, m)
+    assert outcome(QExpansion._miller, f, m) == expected
+    assert outcome(QExpansion.__pow__, f, m) == expected
+    if negative:
+        assert outcome(lambda: f.inverse() ** n) == expected
 
 
 @RUNS

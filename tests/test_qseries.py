@@ -212,6 +212,14 @@ class TestPow:
         # an eta factor at the exponent cap: 1 / prod (1 - q^n) to the 1000th
         assert (euler_product(200) ** -1000).coeff(1) == 1000
 
+    @pytest.mark.parametrize("m", [10**200, 10**200 + 1, -(10**200), -(10**200) - 1])
+    def test_monomial_to_a_huge_power(self, qs, m):
+        # +-q^h has sum |nums| * den = 1, so the cap lets every power through
+        for h, c in ((0, 1), (2, -1)):
+            p = qs(h, [c, 0, 0]) ** m
+            assert (p.lead, p.precision) == (m * h, m * h + 3)
+            assert [p.coeff(m * h + i) for i in range(3)] == [c ** (m % 2), 0, 0]
+
 
 class TestLevelChanges:
     def test_rescale_identity(self, qs):
