@@ -155,7 +155,7 @@ def cmd_cosets(args):
     return {
         "group": args.group,
         "count": len(reps),
-        "reps": [[[m.a, m.b], [m.c, m.d]] for m in reps],
+        "reps": [m.entries() for m in reps],
     }
 
 

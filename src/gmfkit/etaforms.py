@@ -10,7 +10,7 @@ E(q^d)^r is E powered at its own length and only then spread d-fold.
 
 The shipped basis catalogue covers the genus-one Gamma_0(N) whose
 one-dimensional space of weight-2 cusp forms is spanned by a known eta
-quotient, plus the classical genus-zero levels where the space is 0.
+quotient, and every group whose coset table gives genus 0, so the space 0.
 Anything else comes in through basis data files.
 """
 
@@ -26,11 +26,12 @@ from .errors import (
     MalformedInputError,
     NoBasisAvailableError,
     PrecisionError,
+    UnsupportedGroupError,
 )
 from .linalg import rank
 from .numberfield import RATIONAL, _product
 from .qseries import MAX_TERMS, QExpansion
-from .subgroup import GAMMA, GAMMA0, GAMMA1, GroupDescriptor, invariants
+from .subgroup import GAMMA0, GroupDescriptor, invariants
 
 # Caps on what an eta expansion may be asked for, far above every shipped
 # or documented use (24 * 500 exponents, sum |r_d| = 48), so that an
@@ -177,13 +178,6 @@ _GENUS_ONE_ETA = {
     36: ((6, 4),),
 }
 
-# Classical genus-zero levels: the weight-2 cusp form space is trivial.
-_GENUS_ZERO = {
-    GAMMA0: frozenset({1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 16, 18, 25}),
-    GAMMA1: frozenset({1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12}),
-    GAMMA: frozenset({1, 2, 3, 4, 5}),
-}
-
 
 @dataclass(frozen=True)
 class CuspFormBasis:
@@ -227,8 +221,11 @@ def _read_basis(group: GroupDescriptor, precision: int, path=None) -> CuspFormBa
     if group.kind == GAMMA0 and group.level in _GENUS_ONE_ETA:
         form = eta_quotient_expansion(shipped_quotient(group.level), precision)
         return CuspFormBasis(group, (form,))
-    if group.level in _GENUS_ZERO[group.kind]:
-        return CuspFormBasis(group, ())
+    try:
+        if invariants(group).genus == 0:  # the weight-2 cusp form space is trivial
+            return CuspFormBasis(group, ())
+    except UnsupportedGroupError:  # past the coset-table cap
+        pass
     raise NoBasisAvailableError(f"no shipped basis for {group}; supply a basis data file")
 
 

@@ -27,8 +27,8 @@ from .errors import MalformedInputError
 from .numberfield import RATIONAL, CyclotomicElement, FieldTag, _over_lcm
 from .qseries import QExpansion, _lowest
 
-# Digits of one integer in a rational read from JSON (a cap, so that an
-# input cannot make the reader run for minutes).
+# Digits of one integer read from JSON, bare or in a rational (a cap, so
+# that an input cannot make the reader run for minutes).
 MAX_RATIONAL_DIGITS = 100_000
 
 # gmfkit's own form: an integer or a ratio of integers, in decimal
@@ -36,15 +36,21 @@ _RATIONAL = re.compile(r"\s*([+-]?)(\d+)(?:/(\d+))?\s*")
 
 
 def load_json_file(path):
-    """Parse a JSON file (``-`` reads stdin); an unreadable file, invalid
-    JSON or JSON nested past the decoder's recursion limit raises
-    MalformedInputError."""
+    """Parse a JSON file (``-`` reads stdin); an unreadable file, text not in
+    UTF-8 or not JSON, an integer past ``MAX_RATIONAL_DIGITS`` digits or JSON
+    nested past the decoder's recursion limit raises MalformedInputError."""
+
+    def parse_int(digits):
+        if len(digits.lstrip("-")) > MAX_RATIONAL_DIGITS:
+            raise MalformedInputError(f"{path}: JSON integer past {MAX_RATIONAL_DIGITS} digits")
+        return _text_int(digits)
+
     try:
         if path == "-":
-            return json.load(sys.stdin)
+            return json.load(sys.stdin, parse_int=parse_int)
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except json.JSONDecodeError as exc:
+            return json.load(handle, parse_int=parse_int)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedInputError(f"{path}: not valid JSON ({exc})") from None
     except RecursionError:
         raise MalformedInputError(f"{path}: JSON nested too deeply") from None

@@ -37,8 +37,6 @@ from operator import mul
 
 from .errors import InvalidAutomorphismError, MalformedInputError
 
-Rational = Fraction
-
 # Cap on the conductor m of Q(zeta_m), checked when a FieldTag is built.
 # Kernel costs grow as powers of phi(m): the series recurrences do phi(m)^2
 # dot products per coefficient and an inverse multiplies the phi(m) - 1

@@ -42,23 +42,24 @@ that integer dot products cost less; the choice depends only on the
 operands' lengths and bit lengths.  ``divide`` (and through it
 ``inverse``), ``theta_logderiv`` (theta f / f), ``exp_from_logderiv`` and
 negative powers all solve one online recurrence, ``_recurrence``, which keeps
-each coordinate of its unknowns as an integer over their running lcm
+its unknowns as one list of integers per coordinate over their running lcm
 denominator (already the canonical form) and forms each inner sum as
 phi(m)^2 integer dot products.  Each step picks, from counts alone, the
-terms its sum runs over: all of them, as slices, or only those where the
-known series is nonzero (a fixed list) or where the unknowns found so far
-are (a growing list), whichever list is shorter than half the dense range
+terms its sum runs over: all of them, or only those where the known
+series is nonzero (a fixed list) or where the unknowns found so far are
+(a growing list), whichever list is shorter than half the dense range
 (``SPARSE_STEP``); a coefficient counts as nonzero when any coordinate is.
 Lacunary series, such as the CM newforms of levels 27, 32 and 36 or the
-Euler product, so pay only for their nonzero terms.  A power f ** m with
-m < -1 runs J.C.P. Miller's recurrence
-n a(0) b(n) = sum_k ((m + 1) k - n) a(k) b(n - k) as a mode of the same
-kernel (two weighted sums over the nonzero a(k)), so no inverse is powered;
-m > 1 squares and multiplies.  The four kernels whose result may share a
-factor with its denominator, ``truncate``, ``+``, ``*`` and ``scale``, divide it
-out with one running gcd that stops at 1 (``_lowest``), run from the last
-coordinate, where a denominator built up term by term first shows in full;
-every other result is canonical as computed.
+Euler product, so pay only for their nonzero terms.  A strategy only
+chooses the operands; one loop after it forms every dot product, and for
+a power f ** m with m < -1 Miller's weight: J.C.P. Miller's recurrence
+n a(0) b(n) = sum_k ((m + 1) k - n) a(k) b(n - k) is a mode of the same
+kernel, so no inverse is powered; m > 1 squares and multiplies.  The four
+kernels whose result may share a factor with its denominator, ``truncate``,
+``+``, ``*`` and ``scale``, divide it out with one running gcd that stops
+at 1 (``_lowest``), run from the last coordinate, where a denominator
+built up term by term first shows in full; every other result is canonical
+as computed.
 """
 
 from __future__ import annotations
@@ -597,57 +598,51 @@ def _recurrence(r, rd, g, gd, terms, field, by_index=False, power=None):
     gd, rd = gd // t, rd // t
     # 1 / g[0] = gd unit / c; a rational g[0] is c / gd and needs no unit
     unit, c = (None, g[0]) if not any(g[1:deg]) else _inverse_coords(g[:deg], field.conductor)
-    # x[k] = v / (rd c s(k) d) with x[i] = nums[i] / d and
-    # v = (gd d r[k] - rd sum_{j>=1} w(k, j) g[j] nums[k-j]) unit, the sum
-    # taken as one dot product per pair of coordinates (a of g, b of x) into
-    # the slot a + b of a polynomial in zeta
+    # x[k] = v / (rd c s(k) d) with x[i] = X[i] / d, coordinate b of X[i]
+    # xcols[b][i], and v = (gd d r[k] - rd sum_{j>=1} w(k, j) g[j] X[k-j]) unit,
+    # the sum taken as one dot product per pair of coordinates (a of g, b of
+    # X) into the slot a + b of a polynomial in zeta
     width, rc = 2 * deg - 1, rd * c
     # the indices j >= 1 of the nonzero g[j], and each coordinate a of g at
-    # every j (cols) and at those j alone (gvals); tcols and tvals for
-    # (m + 1) j g[j]
+    # every j (cols[a]) and at those j alone (gvals[a]); for a power,
+    # cols[deg + a] and gvals[deg + a] hold those of (m + 1) j g[j]
     gnz = _nonzero(g, deg)[1:]
     cols = [g[a::deg] for a in range(deg)]
-    gvals = [[col[j] for j in gnz] for col in cols]
     if power is not None:  # w(k, j) g[j] = k g[j] - (m + 1) j g[j]
-        tcols = [[(power + 1) * j * x for j, x in enumerate(col)] for col in cols]
-        tvals = [[col[j] for j in gnz] for col in tcols]
+        cols += [[(power + 1) * j * x for j, x in enumerate(col)] for col in cols]
+    gvals = [[col[j] for j in gnz] for col in cols]
     pairs = [(a, b) for a in range(deg) if any(gvals[a]) for b in range(deg)]
-    # the indices of the nonzero unknowns so far (xnz); ng counts the j in
-    # gnz up to k, advanced by at most one a step; gat is gnz times deg,
-    # where the coordinates start
-    gat, xnz, ng = [j * deg for j in gnz], [], 0
+    # each coordinate b of the unknowns so far (xcols[b]) and the indices of
+    # the nonzero ones (xnz); ng counts the j in gnz up to k, advanced by at
+    # most one a step
+    xcols, xnz, ng, d = [[] for _ in range(deg)], [], 0, 1
     zeros = [0] * deg
-    nums, d = [], 1
     for k in range(terms):
         # the sum runs over every j = 1 .. k, or over the ng j with g[j]
         # nonzero, or over the nx with x[k-j] nonzero, whichever is shortest;
         # a term of a sparse sum costs about SPARSE_STEP of a dense one
-        kd, nx = k * deg, len(xnz)
+        nx = len(xnz)
         if ng < len(gnz) and gnz[ng] == k:
             ng += 1
-        sums = [0] * width
+        # each strategy only chooses the operands: coordinate b of the x[k-j]
+        # (xs[b]) against the same j of cols[a] (gvs[a]), for every column
         if SPARSE_STEP * (ng if ng < nx else nx) >= k:
-            # x[0], ..., x[k-1] against g[k], ..., g[1]
-            for a, b in pairs:
-                sums[a + b] += sum(map(mul, nums[b::deg], cols[a][k:0:-1]))
-            if power is not None:
-                sums = [k * x for x in sums]
-                for a, b in pairs:
-                    sums[a + b] -= sum(map(mul, nums[b::deg], tcols[a][k:0:-1]))
+            xs, gvs = xcols, [col[k:0:-1] for col in cols]  # x[0 .. k-1], g[k .. 1]
         else:
             if ng <= nx:
-                at = [kd - j for j in gat[:ng]]
+                at = [k - j for j in gnz[:ng]]
                 gvs = [vals[:ng] for vals in gvals]
-                tvs = None if power is None else [vals[:ng] for vals in tvals]
             else:
-                js, at = [k - i for i in xnz], [i * deg for i in xnz]
+                js, at = [k - i for i in xnz], xnz
                 gvs = [[col[j] for j in js] for col in cols]
-                tvs = None if power is None else [[col[j] for j in js] for col in tcols]
-            xs = [[nums[i + b] for i in at] for b in range(deg)]
-            for a, b in pairs:
-                dot = sum(map(mul, xs[b], gvs[a]))
-                sums[a + b] += dot if power is None else k * dot - sum(map(mul, xs[b], tvs[a]))
-        rk = r[kd : kd + deg] or zeros
+            xs = [[xcol[i] for i in at] for xcol in xcols]
+        sums = [0] * width
+        for a, b in pairs:
+            dot = sum(map(mul, xs[b], gvs[a]))
+            if power is not None:  # Miller's weight k - (m + 1) j
+                dot = k * dot - sum(map(mul, xs[b], gvs[deg + a]))
+            sums[a + b] += dot
+        rk = r[k * deg : (k + 1) * deg] or zeros
         gdd = gd * d
         v = [gdd * u - rd * w for u, w in zip(rk, field.reduce(sums))]
         if unit is not None:
@@ -660,8 +655,12 @@ def _recurrence(r, rd, g, gd, terms, field, by_index=False, power=None):
         grow = m // t
         if grow > 1:
             d *= grow
-            nums = [x * grow for x in nums]
+            xcols = [[x * grow for x in xcol] for xcol in xcols]
         if any(v):
             xnz.append(k)
-        nums += [x // t for x in v]
+        for xcol, x in zip(xcols, v):
+            xcol.append(x // t)
+    nums = [0] * (terms * deg)
+    for b, xcol in enumerate(xcols):
+        nums[b::deg] = xcol
     return nums, d

@@ -220,6 +220,15 @@ class TestSeriesVerbs:
         assert proc.returncode == 2, proc.stderr.decode()
         assert json.loads(proc.stdout)["error_kind"] == kind
 
+    def test_bare_json_integer_past_the_cap_refused_promptly(self, tmp_path):
+        # 100,001 digits as a bare JSON integer: refused before any conversion
+        path = tmp_path / "f.json"
+        path.write_text('{"level": 1, "lead": 0, "precision": 2, "field": {"kind": "rational"}, '
+                        f'"coeffs": ["1", {"7" * (jsonio.MAX_RATIONAL_DIGITS + 1)}]}}')
+        proc = run_child(tmp_path, ["logderiv", "--f", str(path)])
+        assert proc.returncode == 2, proc.stderr.decode()
+        assert json.loads(proc.stdout)["error_kind"] == "malformed-input"
+
     def test_long_eta_power_promptly(self):
         # E^-24 to 16,001 terms, in a child under the limits used above:
         # inverting E and squaring the inverse ran for minutes, and Miller's
@@ -386,6 +395,21 @@ class TestVerifyWithBasis:
         )
         assert code == 2
         assert json.loads(out)["error_kind"] == "no-basis-available"
+
+    @pytest.mark.parametrize("group", ["gamma:200", "gamma0:1000000000000000003"])
+    def test_group_past_the_table_cap_skips_fit(self, capsys, f_and_dec, group):
+        # no coset table, so no genus: no shipped basis, as for any group
+        f_path, dec_path = f_and_dec
+        argv = ["verify", "--f", f_path, "--dec", dec_path, "--group", group]
+        report = invoke_json(capsys, *argv)
+        (fit,) = [c for c in report["checks"] if c["check"] == "basis-fit"]
+        assert fit == {"check": "basis-fit", "passed": None, "detail": "skipped: no basis supplied"}
+        code, out = invoke(capsys, *argv, "--with-basis")
+        assert code == 2
+        assert json.loads(out) == {
+            "error_kind": "no-basis-available",
+            "message": f"no shipped basis for {group}; supply a basis data file",
+        }
 
     def test_basis_file_not_json(self, capsys, tmp_path, f_and_dec):
         f_path, dec_path = f_and_dec

@@ -15,7 +15,6 @@ from gmfkit.errors import (
     PrecisionError,
 )
 from gmfkit.etaforms import (
-    _GENUS_ZERO,
     MAX_ETA_EXPONENT_SUM,
     MAX_ETA_PRECISION,
     CuspFormBasis,
@@ -273,11 +272,39 @@ class TestShippedCatalogue:
     def test_genus_is_one_on_shipped_groups(self, n):
         assert invariants(GroupDescriptor(GAMMA0, n)).genus == 1
 
-    def test_genus_zero_catalogue_matches_the_tables(self):
+    # the classical levels where X_0(N), X_1(N) and X(N) have genus 0
+    GENUS_ZERO = {
+        GAMMA0: {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 16, 18, 25},
+        GAMMA1: {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12},
+        GAMMA: {1, 2, 3, 4, 5},
+    }
+
+    def test_shipped_basis_exactly_where_known(self):
+        # the empty basis exactly where the computed genus is 0, the eta form
+        # on the shipped levels, and no basis anywhere else
         for kind, top in ((GAMMA0, 100), (GAMMA1, 60), (GAMMA, 24)):
-            levels = range(1, top + 1)
-            computed = {n for n in levels if invariants(GroupDescriptor(kind, n)).genus == 0}
-            assert computed == _GENUS_ZERO[kind], kind
+            empty = set()
+            for n in range(1, top + 1):
+                group = GroupDescriptor(kind, n)
+                if kind == GAMMA0 and n in shipped_levels():
+                    assert load_basis(group, 12).dimension == 1
+                    continue
+                try:
+                    basis = load_basis(group, 12)
+                except NoBasisAvailableError as exc:
+                    assert invariants(group).genus > 0, group
+                    assert str(exc) == f"no shipped basis for {group}; supply a basis data file"
+                    continue
+                assert basis.dimension == 0 and invariants(group).genus == 0, group
+                assert all(c["passed"] for c in validate_basis(basis))
+                empty.add(n)
+            assert empty == self.GENUS_ZERO[kind], kind
+
+    @pytest.mark.parametrize("group", ["gamma:200", "gamma1:100000000", "gamma0:1000000000000000003"])
+    def test_group_past_the_table_cap_has_no_basis(self, group):
+        group = GroupDescriptor.parse(group)
+        with pytest.raises(NoBasisAvailableError, match=r"^no shipped basis for "):
+            load_basis(group, 10)
 
     def test_sl2_empty_basis(self):
         basis = load_basis(GroupDescriptor(GAMMA0, 1), 10)

@@ -1,8 +1,11 @@
 """Series JSON read and written from the stored integer form, against a
-reference built from the field elements with ``format_rational``, and the
-error a bad coordinate gives."""
+reference built from the field elements with ``format_rational``, the
+error a bad coordinate gives, and how a file's bytes and bare integers are
+read."""
 
 import json
+import re
+import sys
 from decimal import Decimal
 from fractions import Fraction as F
 from math import gcd
@@ -13,8 +16,11 @@ from hypothesis import strategies as st
 
 from gmfkit import jsonio
 from gmfkit.cli import run
+from gmfkit.errors import MalformedInputError
+from gmfkit.etaforms import load_basis
 from gmfkit.numberfield import CyclotomicElement, FieldTag
 from gmfkit.qseries import QExpansion
+from gmfkit.subgroup import GAMMA0, GroupDescriptor
 
 # past CPython's default int/str digit limit of 4,300 on both sides
 HUGE = F(-(7**5916), 3**10478)
@@ -160,3 +166,55 @@ def test_coordinate_error_pinned(capsys, tmp_path, case):
     code = run(["logderiv", "--f", str(path)])
     error = json.loads(capsys.readouterr().out)
     assert (code, error) == (2, {"error_kind": "malformed-input", "message": message})
+
+
+def series_text(coefficient):
+    """A level-1 rational series file whose second coefficient is the JSON
+    text ``coefficient`` (written by hand: json.dumps refuses an int past
+    the interpreter's int/str digit limit)."""
+    return ('{"level": 1, "lead": 0, "precision": 3, "field": {"kind": "rational"}, '
+            f'"coeffs": ["1", {coefficient}, "0"]}}')
+
+
+@pytest.mark.parametrize("digits", ["7" * 5000, "-" + "7" * 5000, "1" + "0" * 4300],
+                         ids=["tall", "tall-negative", "one-past-limit"])
+def test_bare_integer_reads_as_its_string(capsys, tmp_path, digits):
+    # past the interpreter's 4,300-digit int/str limit a bare JSON integer
+    # gives the series its string gives, and the limit is left as it was
+    limit = sys.get_int_max_str_digits()
+    outs = []
+    for name, text in (("bare", digits), ("string", f'"{digits}"')):
+        path = tmp_path / f"{name}.json"
+        path.write_text(series_text(text))
+        assert jsonio.series_from_obj(jsonio.load_json_file(str(path))).coeff(1) == int(Decimal(digits))
+        assert run(["logderiv", "--f", str(path)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_bare_integer_digit_cap(capsys, tmp_path):
+    # the cap counts digits, not the sign
+    cap = jsonio.MAX_RATIONAL_DIGITS
+    path = tmp_path / "at-cap.json"
+    path.write_text(f"[-{'9' * cap}]")
+    assert jsonio.load_json_file(str(path)) == [-int(Decimal("9" * cap))]
+    path = tmp_path / "past-cap.json"
+    path.write_text(series_text("9" * (cap + 1)))
+    assert run(["logderiv", "--f", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error_kind": "malformed-input",
+        "message": f"{path}: JSON integer past {cap} digits",
+    }
+
+
+def test_file_not_utf8_names_itself(capsys, tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"group": "gamma0:11"}'.encode("utf-16-le"))
+    assert run(["logderiv", "--f", str(path)]) == 2
+    error = json.loads(capsys.readouterr().out)
+    assert error["error_kind"] == "malformed-input"
+    assert error["message"].startswith(f"{path}: not valid JSON ('utf-8' codec can't decode")
+    # library callers get the same error, not the raw UnicodeDecodeError
+    with pytest.raises(MalformedInputError, match=f"^{re.escape(str(path))}: not valid JSON"):
+        load_basis(GroupDescriptor(GAMMA0, 11), 10, str(path))

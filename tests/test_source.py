@@ -216,3 +216,33 @@ def test_core_returns_values():
                    for alias in node.names]
     assert from_jsonio == ["check_entry"]
     assert callers("PrefixInconsistentError") == ["gmfcore.fit_cusp_form"]
+
+
+def module_function(module, name):
+    tree = ast.parse((Path(gmfkit.__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
+    (function,) = [node for node in tree.body if getattr(node, "name", None) == name]
+    return tree, function
+
+
+def test_recurrence_sums_in_one_loop():
+    # each strategy of the kernel only chooses its operands: one loop over
+    # the coordinate pairs forms every dot product and Miller's weight
+    _, function = module_function("qseries", "_recurrence")
+    loops = [node for node in ast.walk(function)
+             if isinstance(node, (ast.For, ast.comprehension)) and ast.unparse(node.iter) == "pairs"]
+    assert len(loops) == 1 and isinstance(loops[0], ast.For)
+    sums = {id(node) for node in ast.walk(function)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "sum"}
+    assert len(sums) == 2 and sums == {id(node) for node in ast.walk(loops[0])} & sums
+
+
+def test_genus_zero_read_from_the_coset_table():
+    # etaforms lists no genus-zero levels of its own: the only table it
+    # holds is the eta recipes, and the shipped empty basis asks invariants
+    tree, function = module_function("etaforms", "_read_basis")
+    tables = [target.id for node in tree.body if isinstance(node, ast.Assign)
+              and isinstance(node.value, (ast.Dict, ast.Set, ast.Call))
+              for target in node.targets if isinstance(target, ast.Name)]
+    assert tables == ["_GENUS_ONE_ETA"]
+    called = {ast.unparse(node.func) for node in ast.walk(function) if isinstance(node, ast.Call)}
+    assert "invariants" in called
