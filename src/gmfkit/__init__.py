@@ -55,10 +55,8 @@ from .numberfield import (
     RATIONAL,
     CyclotomicElement,
     FieldTag,
-    conjugate,
     cyclotomic_polynomial,
     euler_phi,
-    galois_apply,
     is_rational,
 )
 from .qseries import QExpansion, exp_from_logderiv, first_disagreement
@@ -77,10 +75,6 @@ from .subgroup import (
     coset_reps,
     cusp_count,
     invariants,
-    is_member,
-    is_parabolic_trace2,
-    j_normalizes,
-    j_twist,
     kappa,
     p_index,
 )

@@ -53,8 +53,8 @@ def _error_obj(exc) -> dict:
 def _parse_field(text):
     if text == "rational":
         return RATIONAL
-    kind, sep, m = text.partition(":")
-    if kind == "cyclotomic" and sep:
+    kind, _, m = text.partition(":")
+    if kind == "cyclotomic" and m.isascii() and m.isdigit():  # int() also reads "1_2"
         try:
             return FieldTag.cyclotomic(int(m))
         except ValueError:
@@ -140,9 +140,10 @@ def certificate_to_obj(cert: Certificate) -> dict:
 
 
 def cmd_kappa(args):
-    inv = invariants(GroupDescriptor.parse(args.group))
+    group = GroupDescriptor.parse(args.group)
+    inv = invariants(group)
     return {
-        "group": args.group,
+        "group": str(group),
         "p_index": inv.p_index,
         "cusps": inv.cusp_count,
         "kappa": inv.kappa,
@@ -151,16 +152,18 @@ def cmd_kappa(args):
 
 
 def cmd_cosets(args):
-    reps = coset_reps(GroupDescriptor.parse(args.group))
+    group = GroupDescriptor.parse(args.group)
+    reps = coset_reps(group)
     return {
-        "group": args.group,
+        "group": str(group),
         "count": len(reps),
         "reps": [m.entries() for m in reps],
     }
 
 
 def cmd_cusps(args):
-    return {"group": args.group, "cusps": cusp_count(GroupDescriptor.parse(args.group))}
+    group = GroupDescriptor.parse(args.group)
+    return {"group": str(group), "cusps": cusp_count(group)}
 
 
 def cmd_eta_expand(args):
@@ -271,10 +274,11 @@ def cmd_denom_primes(args):
 def cmd_validate_basis(args):
     # the basis is read unvalidated, so that a failing report is printed
     # (exit 0, as verify reports its checks) rather than refused
-    basis = _read_basis(GroupDescriptor.parse(args.group), args.prec, args.basis)
+    group = GroupDescriptor.parse(args.group)
+    basis = _read_basis(group, args.prec, args.basis)
     checks = validate_basis(basis)
     return {
-        "group": args.group,
+        "group": str(group),
         "dimension": basis.dimension,
         "checks": checks,
         "all_passed": jsonio.all_checks_passed(checks),

@@ -17,6 +17,7 @@ Anything else comes in through basis data files.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from operator import mul
 
@@ -112,13 +113,13 @@ class EtaQuotient:
         """Parse the ``d1^r1 d2^r2 ...`` syntax, e.g. ``1^2 11^2``."""
         pairs = []
         for token in text.replace("−", "-").split():
-            base, sep, exp = token.partition("^")
+            match = re.fullmatch(r"([0-9]+)(?:\^(-?[0-9]+))?", token)  # ASCII d or d^r
+            if match is None:
+                raise MalformedInputError(f"bad eta quotient token {token!r}")
             try:
-                d = int(base)
-                r = int(exp) if sep else 1
-            except ValueError:
+                pairs.append((int(match[1]), int(match[2] or 1)))
+            except ValueError:  # past sys.get_int_max_str_digits()
                 raise MalformedInputError(f"bad eta quotient token {token!r}") from None
-            pairs.append((d, r))
         if not pairs:
             raise MalformedInputError("empty eta quotient expression")
         return cls(tuple(pairs), ambient_level)

@@ -361,8 +361,8 @@ def galois_norm(f: PGMF) -> PGMF:
 
 def k_operator(f: PGMF) -> PGMF:
     """Hecke conjugation operator on expansions: conjugate every Fourier
-    coefficient.  The image stays on the same group: diag(-1,1) normalizes
-    every supported group (see ``subgroup.j_normalizes``)."""
+    coefficient.  The image stays on the same group: the twist diag(-1, 1)
+    negates only b and c, and no defining congruence sees their sign."""
     return PGMF(f.expansion.conjugate_coeffs(), f.group)
 
 

@@ -366,20 +366,6 @@ class CyclotomicElement:
         return f"CyclotomicElement({self.conductor}, [{parts}])"
 
 
-def conjugate(a):
-    """Complex conjugation on a coefficient; rationals are fixed."""
-    if isinstance(a, (int, Fraction)):
-        return Fraction(a)
-    return a.conjugate()
-
-
-def galois_apply(a, k: int):
-    """Apply zeta_m -> zeta_m^k coefficientwise; rationals are fixed."""
-    if isinstance(a, (int, Fraction)):
-        return Fraction(a)
-    return a.galois(k)
-
-
 def is_rational(a):
     """Whether a coefficient is a rational value; returns (flag, value)."""
     if isinstance(a, (int, Fraction)):

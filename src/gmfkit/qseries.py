@@ -368,31 +368,6 @@ class QExpansion:
             raise BadLevelError(f"{new_level} is not a multiple of level {self.level}")
         return self._spread(new_level // self.level, new_level)
 
-    def reduce_level(self, new_level: int) -> "QExpansion":
-        """Inverse of rescale_level; every known exponent must lie on the
-        coarser lattice."""
-        if self.level % new_level != 0:
-            raise BadLevelError(f"{new_level} does not divide level {self.level}")
-        c = self.level // new_level
-        if c == 1:
-            return self
-        precision = -(-self.precision // c)
-        if self.is_zero:
-            return QExpansion.zero(new_level, precision, self.field)
-        deg = self.field.degree
-        out = []
-        for i in range(0, len(self.nums), deg):
-            e = self.lead + i // deg
-            if e % c == 0:
-                out += self.nums[i : i + deg]
-            elif any(self.nums[i : i + deg]):
-                raise BadLevelError(
-                    f"coefficient at exponent {e} blocks reduction by {c}"
-                )
-        if self.lead % c != 0:
-            raise BadLevelError(f"lead {self.lead} is not a multiple of {c}")
-        return self._like(self.lead // c, out, self.den, precision, level=new_level)
-
     def substitute_power(self, d: int) -> "QExpansion":
         """Replace q by q^d at the same level (z -> d z on expansions)."""
         if d < 1:

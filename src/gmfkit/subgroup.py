@@ -53,9 +53,12 @@ class GroupDescriptor:
         if not isinstance(text, str) or ":" not in text:  # a basis file may say "group": 11
             raise BadGroupError(f"expected kind:level, got {text!r}")
         kind, _, level = text.strip().partition(":")
+        # ASCII digits only: int() would also read "1_1", "+11" or "１１"
+        if not (level.isascii() and level.isdigit()):
+            raise BadGroupError(f"bad level in {text!r}")
         try:
             n = int(level)
-        except ValueError:
+        except ValueError:  # past sys.get_int_max_str_digits()
             raise BadGroupError(f"bad level in {text!r}") from None
         return cls(kind, n)
 
@@ -102,9 +105,6 @@ class IntegerMatrix:
     def det(self) -> int:
         return self.a * self.d - self.b * self.c
 
-    def trace(self) -> int:
-        return self.a + self.d
-
     def __mul__(self, other):
         if not isinstance(other, IntegerMatrix):
             return NotImplemented
@@ -130,30 +130,6 @@ class IntegerMatrix:
 IDENTITY = IntegerMatrix(1, 0, 0, 1)
 GEN_S = IntegerMatrix(0, -1, 1, 0)
 GEN_T = IntegerMatrix(1, 1, 0, 1)
-
-
-def _congruences_hold(a, b, c, d, group: GroupDescriptor) -> bool:
-    n = group.level
-    if c % n != 0:
-        return False
-    if group.kind == GAMMA0:
-        return True
-    if a % n != 1 % n or d % n != 1 % n:
-        return False
-    if group.kind == GAMMA1:
-        return True
-    return b % n == 0
-
-
-def is_member(mat: IntegerMatrix, group: GroupDescriptor, projective: bool = False) -> bool:
-    """Membership test; with ``projective`` the sign is quotiented out."""
-    if mat.det() != 1:
-        raise BadMatrixError(f"matrix has determinant {mat.det()}, expected 1")
-    if _congruences_hold(mat.a, mat.b, mat.c, mat.d, group):
-        return True
-    if projective:
-        return _congruences_hold(-mat.a, -mat.b, -mat.c, -mat.d, group)
-    return False
 
 
 def contains_minus_identity(group: GroupDescriptor) -> bool:
@@ -248,7 +224,7 @@ class CosetTable:
 
     def __init__(self, group: GroupDescriptor):
         self.group = group
-        self._key = key = _coset_key(group)
+        key = _coset_key(group)
         reps: list[IntegerMatrix] = [IDENTITY]
         coset_of: dict[int, int] = {key(1, 0, 0, 1): 0}
         self.reps, self._coset_of = reps, coset_of
@@ -280,9 +256,6 @@ class CosetTable:
 
     def __len__(self):
         return len(self.reps)
-
-    def coset_index(self, mat: IntegerMatrix) -> int:
-        return self._coset_of[self._key(mat.a, mat.b, mat.c, mat.d)]
 
 
 _TABLE_CACHE: dict[GroupDescriptor, CosetTable] = {}
@@ -347,25 +320,3 @@ def invariants(group: GroupDescriptor) -> SubgroupInvariants:
         genus=(12 + idx - 3 * table.nu2 - 4 * table.nu3 - 6 * cusps) // 12,
     )
 
-
-def is_parabolic_trace2(mat: IntegerMatrix) -> bool:
-    """Parabolic of trace exactly 2 (the identity excluded)."""
-    if mat.det() != 1:
-        raise BadMatrixError(f"matrix has determinant {mat.det()}, expected 1")
-    return mat.trace() == 2 and mat != IDENTITY
-
-
-def j_twist(mat: IntegerMatrix) -> IntegerMatrix:
-    """Conjugation by diag(-1, 1): negates the off-diagonal entries."""
-    return IntegerMatrix(mat.a, -mat.b, -mat.c, mat.d)
-
-
-def j_normalizes(group: GroupDescriptor) -> bool:
-    """Whether conjugation by diag(-1, 1) maps the group onto itself.
-
-    True for all three kinds: the twist negates only the off-diagonal
-    entries b and c, and no defining congruence (c = 0 for Gamma_0,
-    also a = d = 1 for Gamma_1, also b = 0 for Gamma, all mod N) sees
-    their sign.
-    """
-    return True

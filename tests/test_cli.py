@@ -59,6 +59,11 @@ class TestKappaVerb:
         assert code == 2
         assert json.loads(out)["error_kind"] == "bad-group-descriptor"
 
+    @pytest.mark.parametrize("verb", ["kappa", "cosets", "cusps", "validate-basis"])
+    def test_group_echoed_canonically(self, capsys, verb):
+        group = ["--group", "gamma0:011"] if verb == "validate-basis" else ["gamma0:011"]
+        assert invoke_json(capsys, verb, *group)["group"] == "gamma0:11"
+
 
 class TestUsageErrors:
     def test_unknown_verb(self, capsys):
@@ -777,6 +782,12 @@ class TestInputShapes:
         dec_path.write_text(json.dumps(dec))
         self.refused(capsys, ["verify", "--f", f_dec_basis[0], "--dec", str(dec_path), "--group", "gamma0:11"],
                      "malformed-input", "decomposition must be a JSON object")
+
+    @pytest.mark.parametrize("m", ["1_2", "１２", "+12"])
+    def test_field_conductor_read_as_ascii_digits(self, capsys, f11_path, m):
+        # int() reads each of these as 12
+        self.refused(capsys, ["logderiv", "--f", f11_path, "--field", f"cyclotomic:{m}"],
+                     "malformed-input", f"bad field 'cyclotomic:{m}'; expected rational or cyclotomic:<m>")
 
 
 class TestPinnedOutput:

@@ -86,9 +86,14 @@ class TestEtaQuotient:
         with pytest.raises(MalformedInputError):
             EtaQuotient(((5, 1),), 11)
 
-    def test_parse_rejects_garbage(self):
+    @pytest.mark.parametrize("bad", [
+        "1^a", "1^", "^2", "1^2^3",
+        # int() reads these as 11, 11^2 or 1^2; a token is ASCII d or d^r
+        "1_1", "1_1^2", "１１", "1^２", "1^+2", "+1^2",
+    ])
+    def test_parse_rejects_garbage(self, bad):
         with pytest.raises(MalformedInputError):
-            EtaQuotient.parse("1^a")
+            EtaQuotient.parse(bad)
 
 
 class TestEtaQuotientExpansion:
@@ -126,7 +131,7 @@ class TestEtaQuotientExpansion:
         e11 = e11_unit.shift(121)
         brute = (e1 * e1) * (e11 * e11)
         fast = eta_quotient_expansion(EtaQuotient(((1, 2), (11, 2)), 11), 10)
-        assert brute.reduce_level(1).truncate(10) == fast
+        assert brute.truncate(264 * 10) == fast.rescale_level(264)
 
     def test_trivial_quotient(self):
         assert eta_quotient_expansion(EtaQuotient(((1, 1), (1, -1)), 1), 5) == QExpansion.one(1, 5)
@@ -144,7 +149,7 @@ class TestEtaQuotientExpansion:
         pb = eta_quotient_expansion(b, 30 * 12)
         assert pa.level == pb.level == 12
         prod = pa * pb
-        assert prod.reduce_level(1).truncate(20) == eta_quotient_expansion(ab, 20)
+        assert prod.truncate(12 * 20) == eta_quotient_expansion(ab, 20).rescale_level(12)
 
     def test_insufficient_precision_for_negative_lead(self):
         with pytest.raises(PrecisionError):

@@ -12,10 +12,8 @@ from gmfkit.numberfield import (
     RATIONAL,
     CyclotomicElement,
     FieldTag,
-    conjugate,
     cyclotomic_polynomial,
     euler_phi,
-    galois_apply,
     is_rational,
     prime_divisors,
 )
@@ -92,14 +90,14 @@ class TestCyclotomicPolynomial:
 class TestConjugation:
     def test_conj_i(self):
         z4 = CyclotomicElement.zeta(4)
-        assert conjugate(z4) == -z4
+        assert z4.conjugate() == -z4
 
     def test_rational_fixed(self):
-        assert conjugate(F(5, 3)) == F(5, 3)
+        assert CyclotomicElement.from_rational(12, F(5, 3)).conjugate() == F(5, 3)
 
     def test_one_plus_zeta3(self):
         z3 = CyclotomicElement.zeta(3)
-        assert conjugate(1 + z3) == -z3
+        assert (1 + z3).conjugate() == -z3
 
     def test_involution(self):
         rng = random.Random(11)
@@ -108,20 +106,20 @@ class TestConjugation:
                 a = CyclotomicElement(
                     m, [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(euler_phi(m))]
                 )
-                assert conjugate(conjugate(a)) == a
+                assert a.conjugate().conjugate() == a
 
 
 class TestGaloisAction:
     def test_rational_fixed(self):
-        assert galois_apply(F(7, 2), 5) == F(7, 2)
+        assert CyclotomicElement.from_rational(12, F(7, 2)).galois(5) == F(7, 2)
 
     def test_zeta4_k3(self):
         z4 = CyclotomicElement.zeta(4)
-        assert galois_apply(z4, 3) == -z4
+        assert z4.galois(3) == -z4
 
     def test_zeta5_sum(self):
         z5 = CyclotomicElement.zeta(5)
-        assert galois_apply(z5 + z5 ** 4, 2) == z5 ** 2 + z5 ** 3
+        assert (z5 + z5 ** 4).galois(2) == z5 ** 2 + z5 ** 3
 
     def test_non_coprime_rejected(self):
         with pytest.raises(InvalidAutomorphismError):
@@ -289,7 +287,7 @@ def test_inverse_round_trip_every_conductor(data):
 def test_conjugate_is_galois_minus_one(m):
     a = CyclotomicElement(m, [F(k + 1, k + 2) for k in range(euler_phi(m))])
     assert a.conjugate() == a.galois(m - 1) == a.galois(-1)
-    assert conjugate(a) == a.conjugate() and conjugate(conjugate(a)) == a
+    assert a.conjugate().conjugate() == a
 
 
 def test_prime_divisors_rebuild_n():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import assert_agree
 from gmfkit.errors import (
+    BadLevelError,
     DivisionByZeroSeriesError,
     IncompatibleSeriesError,
     InvalidAutomorphismError,
@@ -235,19 +236,10 @@ class TestLevelChanges:
         assert r.coeff(0) == 1 and r.coeff(1) == 0 and r.coeff(2) == 1
 
     def test_non_multiple_rejected(self, qs):
-        with pytest.raises(Exception):
+        with pytest.raises(BadLevelError):
             qs(0, [1]).rescale_level(0)
-        with pytest.raises(Exception):
+        with pytest.raises(BadLevelError):
             QExpansion.one(4, 3).rescale_level(6)
-
-    def test_reduce_inverts_rescale(self, qs):
-        f = qs(1, [1, 0, 3, -2], 7)
-        assert f.rescale_level(6).reduce_level(1) == f
-
-    def test_reduce_blocked_by_off_lattice_term(self):
-        f = QExpansion(6, 2, [1, 1], 4)
-        with pytest.raises(Exception):
-            f.reduce_level(3)
 
     def test_substitute_power(self, qs):
         s = qs(1, [1, 2, 3], 4).substitute_power(3)
