@@ -62,6 +62,13 @@ def _parse_field(text):
     raise MalformedInputError(f"bad field {text!r}; expected rational or cyclotomic:<m>")
 
 
+def _integer(text):
+    """ASCII digits after at most one "-": int() also reads "１２", "1_2", " 12" or "+12"."""
+    if text.isascii() and text.removeprefix("-").isdigit():
+        return int(text)
+    raise argparse.ArgumentTypeError(f"invalid integer {text!r}: ASCII digits only")
+
+
 def _load_series(path, field_text=None):
     series = jsonio.series_from_obj(jsonio.load_json_file(path))
     if field_text is None:
@@ -179,15 +186,11 @@ def cmd_logderiv(args):
 
 
 def cmd_exp_logderiv(args):
-    return jsonio.series_to_obj(
-        exp_from_logderiv(_load_series(args.f, args.field), args.prec)
-    )
+    return jsonio.series_to_obj(exp_from_logderiv(_load_series(args.f, args.field), args.prec))
 
 
 def cmd_mul(args):
-    return jsonio.series_to_obj(
-        _load_series(args.f, args.field) * _load_series(args.g, args.field)
-    )
+    return jsonio.series_to_obj(_load_series(args.f, args.field) * _load_series(args.g, args.field))
 
 
 def cmd_inv(args):
@@ -301,11 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--output", help="write the JSON result to a file instead of stdout")
         if field_flag:
-            p.add_argument(
-                "--field",
-                default=None,
-                help="coerce series into this field: rational | cyclotomic:<m>",
-            )
+            p.add_argument("--field", default=None,
+                           help="coerce series into this field: rational | cyclotomic:<m>")
         p.set_defaults(handler=handler)
         return p
 
@@ -320,15 +320,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verb("eta-expand", cmd_eta_expand, "expand an eta quotient, e.g. '1^2 11^2'", True)
     p.add_argument("quotient")
-    p.add_argument("--prec", type=int, required=True)
-    p.add_argument("--ambient", type=int, default=None, help="ambient level (default: lcm of divisors)")
+    p.add_argument("--prec", type=_integer, required=True)
+    p.add_argument("--ambient", type=_integer, default=None, help="ambient level (default: lcm of divisors)")
 
     p = verb("logderiv", cmd_logderiv, "theta logarithmic derivative of a series", True)
     p.add_argument("--f", required=True)
 
     p = verb("exp-logderiv", cmd_exp_logderiv, "unit series with the given logarithmic derivative", True)
     p.add_argument("--f", required=True)
-    p.add_argument("--prec", type=int, required=True)
+    p.add_argument("--prec", type=_integer, required=True)
 
     p = verb("mul", cmd_mul, "product of two series", True)
     p.add_argument("--f", required=True)
@@ -336,30 +336,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verb("inv", cmd_inv, "multiplicative inverse of a series", True)
     p.add_argument("--f", required=True)
-    p.add_argument("--prec", type=int, default=None)
+    p.add_argument("--prec", type=_integer, default=None)
 
     p = verb("pow", cmd_pow, "integer power of a series", True)
     p.add_argument("--f", required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_integer, required=True)
 
     p = verb("rescale", cmd_rescale, "re-express a series at a finer level", True)
     p.add_argument("--f", required=True)
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=_integer, required=True)
 
     p = verb("decompose", cmd_decompose, "canonical decomposition from a unitary-part prefix")
     p.add_argument("--f", required=True)
     p.add_argument("--prefix", required=True)
     p.add_argument("--group", required=True)
-    p.add_argument("--prec", type=int, required=True)
+    p.add_argument("--prec", type=_integer, required=True)
     p.add_argument("--basis", default=None, help="basis data file (default: shipped catalogue)")
 
     p = verb("certify", cmd_certify, "finite-order consistency certificate")
     p.add_argument("--f", required=True, nargs="+", help="series file(s)")
     p.add_argument("--group", required=True)
-    p.add_argument("--prec", type=int, required=True)
+    p.add_argument("--prec", type=_integer, required=True)
     p.add_argument("--basis", default=None)
     p.add_argument("--prefix", default=None, help="explicit unitary-part prefix file")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_integer, default=1)
 
     p = verb("verify", cmd_verify, "replay the checks of a decomposition")
     p.add_argument("--f", required=True)
@@ -388,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = verb("validate-basis", cmd_validate_basis, "diagnostic checks on a cusp form basis")
     p.add_argument("--group", required=True)
     p.add_argument("--basis", default=None)
-    p.add_argument("--prec", type=int, default=12)
+    p.add_argument("--prec", type=_integer, default=12)
 
     return parser
 

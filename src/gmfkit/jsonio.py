@@ -31,8 +31,9 @@ from .qseries import QExpansion, _lowest
 # that an input cannot make the reader run for minutes).
 MAX_RATIONAL_DIGITS = 100_000
 
-# gmfkit's own form: an integer or a ratio of integers, in decimal
-_RATIONAL = re.compile(r"\s*([+-]?)(\d+)(?:/(\d+))?\s*")
+# gmfkit's own form: an integer or a ratio of integers, in ASCII digits
+_RATIONAL = re.compile(r"\s*([+-]?)([0-9]+)(?:/([0-9]+))?\s*")
+_DECIMAL = re.compile(r"\s*[+-]?[0-9]*\.[0-9]*\s*")  # the one other form, read by Fraction
 
 
 def load_json_file(path):
@@ -92,7 +93,7 @@ def format_rational(x) -> str:
 def _read_ratio(text):
     """(numerator, denominator > 0) of a rational as JSON carries it: a
     JSON integer or a string ``"p"``, ``"p/q"`` (not reduced) or a
-    decimal."""
+    decimal, in ASCII digits."""
     if type(text) is int:  # JSON true is not a coefficient
         return text, 1
     if not isinstance(text, str):
@@ -109,6 +110,8 @@ def _read_ratio(text):
         )
     try:
         if match is None:  # decimals such as "0.25"
+            if not _DECIMAL.fullmatch(plain):  # Fraction also reads "1_0" and "１/２"
+                raise ValueError(f"Invalid literal for Fraction: {plain.strip()!r}")
             x = Fraction(plain.strip())
             return x.numerator, x.denominator
         sign, num, den = match.groups()

@@ -51,10 +51,10 @@ series is nonzero (a fixed list) or where the unknowns found so far are
 (``SPARSE_STEP``); a coefficient counts as nonzero when any coordinate is.
 Lacunary series, such as the CM newforms of levels 27, 32 and 36 or the
 Euler product, so pay only for their nonzero terms.  A strategy only
-chooses the operands; one loop after it forms every dot product, and for
-a power f ** m with m < -1 Miller's weight: J.C.P. Miller's recurrence
-n a(0) b(n) = sum_k ((m + 1) k - n) a(k) b(n - k) is a mode of the same
-kernel, so no inverse is powered; m > 1 squares and multiplies.  The four
+chooses the operands, and one loop forms every dot product.  J.C.P.
+Miller's recurrence n a(0) b(n) = sum_k ((m + 1) k - n) a(k) b(n - k)
+for f ** m, m < -1, is a mode that puts a small weight on each chosen
+a(k), so no inverse is powered; m > 1 squares and multiplies.  The four
 kernels whose result may share a factor with its denominator, ``truncate``,
 ``+``, ``*`` and ``scale``, divide it out with one running gcd that stops
 at 1 (``_lowest``), run from the last coordinate, where a denominator
@@ -579,12 +579,9 @@ def _recurrence(r, rd, g, gd, terms, field, by_index=False, power=None):
     # X) into the slot a + b of a polynomial in zeta
     width, rc = 2 * deg - 1, rd * c
     # the indices j >= 1 of the nonzero g[j], and each coordinate a of g at
-    # every j (cols[a]) and at those j alone (gvals[a]); for a power,
-    # cols[deg + a] and gvals[deg + a] hold those of (m + 1) j g[j]
+    # every j (cols[a]) and at those j alone (gvals[a])
     gnz = _nonzero(g, deg)[1:]
     cols = [g[a::deg] for a in range(deg)]
-    if power is not None:  # w(k, j) g[j] = k g[j] - (m + 1) j g[j]
-        cols += [[(power + 1) * j * x for j, x in enumerate(col)] for col in cols]
     gvals = [[col[j] for j in gnz] for col in cols]
     pairs = [(a, b) for a in range(deg) if any(gvals[a]) for b in range(deg)]
     # each coordinate b of the unknowns so far (xcols[b]) and the indices of
@@ -599,24 +596,24 @@ def _recurrence(r, rd, g, gd, terms, field, by_index=False, power=None):
         nx = len(xnz)
         if ng < len(gnz) and gnz[ng] == k:
             ng += 1
-        # each strategy only chooses the operands: coordinate b of the x[k-j]
-        # (xs[b]) against the same j of cols[a] (gvs[a]), for every column
+        # each strategy only chooses its j (js) and the operands: coordinate b
+        # of the x[k-j] (xs[b]) against the same j of cols[a] (gvs[a])
         if SPARSE_STEP * (ng if ng < nx else nx) >= k:
-            xs, gvs = xcols, [col[k:0:-1] for col in cols]  # x[0 .. k-1], g[k .. 1]
+            js, xs, gvs = range(k, 0, -1), xcols, [col[k:0:-1] for col in cols]
         else:
             if ng <= nx:
-                at = [k - j for j in gnz[:ng]]
-                gvs = [vals[:ng] for vals in gvals]
+                js, gvs = gnz[:ng], [vals[:ng] for vals in gvals]
+                at = [k - j for j in js]
             else:
                 js, at = [k - i for i in xnz], xnz
                 gvs = [[col[j] for j in js] for col in cols]
             xs = [[xcol[i] for i in at] for xcol in xcols]
+        if power is not None:  # Miller's weight w(k, j), a small int, on each g[j]
+            ws = [k - (power + 1) * j for j in js]
+            gvs = [list(map(mul, ws, vals)) for vals in gvs]
         sums = [0] * width
         for a, b in pairs:
-            dot = sum(map(mul, xs[b], gvs[a]))
-            if power is not None:  # Miller's weight k - (m + 1) j
-                dot = k * dot - sum(map(mul, xs[b], gvs[deg + a]))
-            sums[a + b] += dot
+            sums[a + b] += sum(map(mul, xs[b], gvs[a]))
         rk = r[k * deg : (k + 1) * deg] or zeros
         gdd = gd * d
         v = [gdd * u - rd * w for u, w in zip(rk, field.reduce(sums))]

@@ -72,6 +72,33 @@ class TestUsageErrors:
     def test_missing_required_flag(self, capsys):
         assert run(["logderiv"]) == 1
 
+    # every integer option, its value as "{}": ASCII digits after at most
+    # one "-" are read, as eta exponents are, and each spelling in
+    # BAD_INTEGERS is a usage error (int() reads all but "--12" as 12)
+    INTEGER_OPTIONS = [
+        ["eta-expand", "1^2 11^2", "--prec", "{}"],
+        ["eta-expand", "1^2 11^2", "--prec", "12", "--ambient", "{}"],
+        ["exp-logderiv", "--f", "F", "--prec", "{}"],
+        ["inv", "--f", "F", "--prec", "{}"],
+        ["pow", "--f", "F", "--m", "{}"],
+        ["rescale", "--f", "F", "--level", "{}"],
+        ["decompose", "--f", "F", "--prefix", "F", "--group", "gamma0:11", "--prec", "{}"],
+        ["certify", "--f", "F", "--group", "gamma0:11", "--prec", "{}"],
+        ["certify", "--f", "F", "F", "--group", "gamma0:11", "--prec", "12", "--jobs", "{}"],
+        ["validate-basis", "--group", "gamma0:11", "--prec", "{}"],
+    ]
+    BAD_INTEGERS = ["１２", "1_2", " 12", "+12", "--12", "١٢"]
+
+    @pytest.mark.parametrize("argv", INTEGER_OPTIONS, ids=lambda argv: " ".join(argv[:1] + argv[-2:-1]))
+    def test_integer_option_read_as_ascii_digits(self, capsys, f11_path, argv):
+        argv = [f11_path if arg == "F" else arg for arg in argv]
+        # 22 is a multiple of the level of f11.json and of the quotient's
+        assert run([arg.format("22") for arg in argv]) != 1
+        assert run([arg.format("-22") for arg in argv]) != 1
+        for bad in self.BAD_INTEGERS:
+            assert run([arg.format(bad) for arg in argv]) == 1, bad
+        assert "invalid integer '１２': ASCII digits only" in capsys.readouterr().err
+
 
 class TestCosetsAndCusps:
     def test_cosets_count(self, capsys):

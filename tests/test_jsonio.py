@@ -154,6 +154,13 @@ COORDINATE_ERRORS = {
     "level-0": (["1", "abc"], None, 0, "bad rational 'abc': Invalid literal for Fraction: 'abc'"),
     "zero-denominator-tall": (["1", TALL_NUMERATOR + "/0"], None, 1,
                               f"bad rational '{TALL_NUMERATOR}/0': {fraction_error(TALL_NUMERATOR)}"),
+    # ASCII digits only: Fraction reads these as 1/2, 3, 10 and 21/2
+    "fullwidth-digits": (["1", "１/２"], None, 1,
+                         "bad rational '１/２': Invalid literal for Fraction: '１/２'"),
+    "arabic-indic-digit": (["1", "٣"], None, 1, "bad rational '٣': Invalid literal for Fraction: '٣'"),
+    "underscore": (["1", "1_0"], None, 1, "bad rational '1_0': Invalid literal for Fraction: '1_0'"),
+    "underscore-decimal": (["1", "1_0.5"], None, 1,
+                           "bad rational '1_0.5': Invalid literal for Fraction: '1_0.5'"),
 }
 
 

@@ -225,15 +225,37 @@ def module_function(module, name):
 
 
 def test_recurrence_sums_in_one_loop():
-    # each strategy of the kernel only chooses its operands: one loop over
-    # the coordinate pairs forms every dot product and Miller's weight
+    # each strategy of the kernel only chooses its operands, a power's
+    # carrying Miller's weight: one loop over the coordinate pairs forms
+    # every dot product, one per pair in every mode
     _, function = module_function("qseries", "_recurrence")
     loops = [node for node in ast.walk(function)
              if isinstance(node, (ast.For, ast.comprehension)) and ast.unparse(node.iter) == "pairs"]
     assert len(loops) == 1 and isinstance(loops[0], ast.For)
     sums = {id(node) for node in ast.walk(function)
             if isinstance(node, ast.Call) and ast.unparse(node.func) == "sum"}
-    assert len(sums) == 2 and sums == {id(node) for node in ast.walk(loops[0])} & sums
+    assert len(sums) == 1 and sums == {id(node) for node in ast.walk(loops[0])} & sums
+
+
+def test_no_pattern_reads_unicode_digits():
+    # the regex class \d matches every Unicode digit, so "１２" or "٣" would
+    # pass a pattern meant for ASCII digits
+    found = [
+        f"{path.stem}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "\\d" in node.value
+    ]
+    assert found == []
+
+
+def test_no_cli_option_read_by_int():
+    # int() reads "１２", "1_2", " 12" and "+12" as 12: every integer option
+    # goes through the CLI's ASCII reader instead
+    (verbs,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = [a for p in [cli.build_parser(), *verbs.choices.values()] for a in p._actions]
+    assert len(actions) > len(verbs.choices)
+    assert [a.option_strings or a.dest for a in actions if a.type is int] == []
 
 
 def test_genus_zero_read_from_the_coset_table():
