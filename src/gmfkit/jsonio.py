@@ -27,13 +27,15 @@ from .errors import MalformedInputError
 from .numberfield import RATIONAL, CyclotomicElement, FieldTag, _over_lcm
 from .qseries import QExpansion, _lowest
 
-# Digits of one integer read from JSON, bare or in a rational (a cap, so
-# that an input cannot make the reader run for minutes).
+# Digits of one integer read from JSON, bare or in a rational, where a
+# decimal's digits are one integer (a cap, so that an input cannot make the
+# reader run for minutes).
 MAX_RATIONAL_DIGITS = 100_000
 
 # gmfkit's own form: an integer or a ratio of integers, in ASCII digits
 _RATIONAL = re.compile(r"\s*([+-]?)([0-9]+)(?:/([0-9]+))?\s*")
-_DECIMAL = re.compile(r"\s*[+-]?[0-9]*\.[0-9]*\s*")  # the one other form, read by Fraction
+# the one other form: a decimal, with a digit on at least one side of its point
+_DECIMAL = re.compile(r"\s*([+-]?)(?=\.?[0-9])([0-9]*)\.([0-9]*)\s*")
 
 
 def load_json_file(path):
@@ -92,32 +94,33 @@ def format_rational(x) -> str:
 
 def _read_ratio(text):
     """(numerator, denominator > 0) of a rational as JSON carries it: a
-    JSON integer or a string ``"p"``, ``"p/q"`` (not reduced) or a
-    decimal, in ASCII digits."""
+    JSON integer or a string ``"p"``, ``"p/q"`` or a decimal, in ASCII
+    digits, not reduced.  A decimal's digits, on both sides of its point,
+    are one integer, over a power of ten."""
     if type(text) is int:  # JSON true is not a coefficient
         return text, 1
     if not isinstance(text, str):
         raise MalformedInputError(f"expected a rational string, got {text!r}")
     plain = text.replace("−", "-")
-    match = _RATIONAL.fullmatch(plain)
+    match = _RATIONAL.fullmatch(plain) or _DECIMAL.fullmatch(plain)
     if match is None:
         if "e" in plain.lower():
             # Fraction would expand an exponent such as "1e2000000000" into all its digits
             raise MalformedInputError(f"bad rational {text[:40]!r}: exponent notation")
-    elif len(plain) > MAX_RATIONAL_DIGITS and max(map(len, match.groups(""))) > MAX_RATIONAL_DIGITS:
+        # in Fraction's words, though Fraction also reads "1_0" and "１/２"
+        raise MalformedInputError(f"bad rational {text!r}: Invalid literal for Fraction: {plain.strip()!r}")
+    sign, num, den = match.groups("")
+    power = 0
+    if match.re is _DECIMAL:  # "0.25" is 25 / 10 ** 2
+        num, power, den = num + den, len(den), ""
+    if max(len(num), len(den)) > MAX_RATIONAL_DIGITS:
         raise MalformedInputError(
             f"bad rational {text[:40]!r}...: more than {MAX_RATIONAL_DIGITS} digits"
         )
     try:
-        if match is None:  # decimals such as "0.25"
-            if not _DECIMAL.fullmatch(plain):  # Fraction also reads "1_0" and "１/２"
-                raise ValueError(f"Invalid literal for Fraction: {plain.strip()!r}")
-            x = Fraction(plain.strip())
-            return x.numerator, x.denominator
-        sign, num, den = match.groups()
         num = _text_int(sign + num)
-        if den is None:
-            return num, 1
+        if not den:
+            return num, 10**power
         den = _text_int(den)
         if not den:
             raise ZeroDivisionError(f"Fraction({num}, 0)")  # as Fraction words it

@@ -13,7 +13,10 @@ to lie in Q(zeta_4).  Every reduction mod Phi_m (products, Galois images,
 powers of zeta) is one division by a monic polynomial, and every integer
 polynomial product is one convolution, ``_convolve``, shared with the
 series kernels in ``qseries``, whose packed path gives every signed slot a
-half-slot bias.  An inverse is the product of the other Galois conjugates
+half-slot bias.  The slots move between ints and bytes as two's complement:
+all at once through ``array`` words when a slot is at most 8 bytes wide,
+and by one ``int`` call per entry when it is wider, the slot width alone
+picking the way.  An inverse is the product of the other Galois conjugates
 over the norm; that and every other product of many factors is one
 balanced tree, ``_product``.
 
@@ -30,6 +33,8 @@ coordinates it reads from text over the same lcm.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -95,7 +100,12 @@ def _convolve(a, b, size):
     the tall one.  Dot products pay an interpreter step per pair of terms
     but only the product of the two heights.  The estimates below, in
     nanoseconds on CPython 3.11 with 30-bit digits, pick the cheaper from
-    the lengths and bit heights alone.
+    the lengths and bit heights alone.  Kronecker's per-entry term is the
+    cost of ``_kronecker``'s per-entry path, for slots wider than 8 bytes.
+    Its ``array`` path moves an entry of a narrower slot three to six times
+    faster, but a lower term for those slots changes no choice on the
+    products that ``certify``, ``decompose`` and ``eta-expand`` make, where
+    dot products win only with slots of 68 bytes or more.
     """
     ha = max(map(abs, a)).bit_length()
     hb = max(map(abs, b)).bit_length()
@@ -123,23 +133,76 @@ def _dot_products(a, b, size):
 
 def _kronecker(a, b, size, width):
     """Truncated product by Kronecker substitution, ``width`` bits being
-    enough for any product coefficient and its sign.  Each slot, packed or
-    unpacked, holds x + half, a nonnegative digit: every x, an entry or a
-    product coefficient, lies in [-half, half), so no slot borrows from or
-    carries into the next, and an integer is its slots minus their bias."""
-    nbytes = (width + 7) // 8
-    half = 1 << (8 * nbytes - 1)
+    enough for any product coefficient and its sign.  Each slot of nbytes
+    bytes, packed or unpacked, holds x + half, half = 2 ** (8 nbytes - 1),
+    a nonnegative digit: every x, an entry or a product coefficient, lies in
+    [-half, half), so no slot borrows from or carries into the next, and an
+    integer is its slots minus their bias.
 
-    def bias(slots):  # half in each slot
+    The slots travel between ints and bytes as two's complement, which is
+    x + half with the slot's top bit flipped.  The slot width alone picks
+    how they travel: slots of at most 8 bytes all at once, as the low bytes
+    of ``array`` words (``_slots_of_words``, ``_words_of_slots``); wider ones
+    by one ``int`` call per entry (``_slots_of_ints``, ``_ints_of_slots``)."""
+    nbytes = (width + 7) // 8
+    if nbytes <= 8:
+        to_slots, from_slots = _slots_of_words, _words_of_slots
+    else:
+        to_slots, from_slots = _slots_of_ints, _ints_of_slots
+
+    def bias(slots):  # half, the top bit, in each slot
         return int.from_bytes((bytes(nbytes - 1) + b"\x80") * slots, "little")
 
     def pack(xs):
-        raw = b"".join((x + half).to_bytes(nbytes, "little") for x in xs)
-        return int.from_bytes(raw, "little") - bias(len(xs))
+        top = bias(len(xs))
+        return (int.from_bytes(to_slots(xs, nbytes), "little") ^ top) - top
 
-    low = (pack(a) * pack(b) + bias(size)) & ((1 << 8 * nbytes * size) - 1)
-    raw = memoryview(low.to_bytes(nbytes * size, "little"))
-    return [int.from_bytes(raw[k * nbytes : (k + 1) * nbytes], "little") - half for k in range(size)]
+    top = bias(size)
+    low = (pack(a) * pack(b) + top) & ((1 << 8 * nbytes * size) - 1)
+    return from_slots((low ^ top).to_bytes(nbytes * size, "little"), nbytes)
+
+
+# byte b -> the byte that sign-extends a two's complement number whose top byte is b
+_SIGN_FILL = bytes(0xFF if b & 0x80 else 0 for b in range(256))
+
+
+def _slots_of_words(xs, nbytes):
+    """The two's complement of each x in ``nbytes`` <= 8 little-endian
+    bytes, in turn: the low bytes of x as a signed 64-bit word."""
+    words = array("q", xs)
+    if sys.byteorder == "big":
+        words.byteswap()
+    raw = words.tobytes()
+    out = bytearray(nbytes * len(xs))
+    for i in range(nbytes):
+        out[i::nbytes] = raw[i::8]
+    return out
+
+
+def _words_of_slots(raw, nbytes):
+    """The integers whose two's complements ``raw`` holds in turn, in
+    ``nbytes`` <= 8 little-endian bytes each, sign-extended to 64-bit words."""
+    out = bytearray(8 * (len(raw) // nbytes))
+    for i in range(nbytes):
+        out[i::8] = raw[i::nbytes]
+    fill = raw[nbytes - 1 :: nbytes].translate(_SIGN_FILL)
+    for i in range(nbytes, 8):
+        out[i::8] = fill
+    words = array("q", out)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words.tolist()
+
+
+def _slots_of_ints(xs, nbytes):
+    """``_slots_of_words`` for any ``nbytes``, one entry at a time."""
+    return b"".join(x.to_bytes(nbytes, "little", signed=True) for x in xs)
+
+
+def _ints_of_slots(raw, nbytes):
+    """``_words_of_slots`` for any ``nbytes``, one entry at a time."""
+    raw = memoryview(raw)
+    return [int.from_bytes(raw[k : k + nbytes], "little", signed=True) for k in range(0, len(raw), nbytes)]
 
 
 def _over_lcm(ratios):

@@ -39,7 +39,11 @@ zeta).  The convolution, ``numberfield._convolve`` (which multiplies field
 elements too), packs both operands into one integer, so that CPython's
 Karatsuba multiply does all of it, unless the bit heights are so lopsided
 that integer dot products cost less; the choice depends only on the
-operands' lengths and bit lengths.  ``divide`` (and through it
+operands' lengths and bit lengths.  The packed slots move between ints and
+bytes all at once through ``array`` words when a slot is at most 8 bytes
+wide, as it is for small-integer series such as eta products, and by one
+call per entry when it is wider; the slot width alone picks the way.
+``divide`` (and through it
 ``inverse``), ``theta_logderiv`` (theta f / f), ``exp_from_logderiv`` and
 negative powers all solve one online recurrence, ``_recurrence``, which keeps
 its unknowns as one list of integers per coordinate over their running lcm

@@ -91,9 +91,11 @@ def test_coordinate_past_the_digit_limit():
 
 
 # spellings the reader accepts though the writer never makes them, and
-# their values; the JSON integers 0 and 7 are read as rationals too
-ODD = ["2/4", "+3", " 5 ", "-0", "0.25", "−1/2", 7]
-VALUES = [F(1, 2), F(3), F(5), F(0), F(1, 4), F(-1, 2), F(7)]
+# their values; the JSON integers 0 and 7 are read as rationals too, and the
+# last two decimals are past the interpreter's int/str digit limit
+ODD = ["2/4", "+3", " 5 ", "-0", "0.25", "−1/2", 7, "-.5", "1" * 5000 + ".5", "0." + "3" * 5000]
+VALUES = [F(1, 2), F(3), F(5), F(0), F(1, 4), F(-1, 2), F(7), F(-1, 2),
+          F(int(Decimal("1" * 5000 + "5")), 10), F(int(Decimal("3" * 5000)), 10**5000)]
 
 
 @pytest.mark.parametrize("conductor", [None, 1, 2, 5, 12])
@@ -161,6 +163,10 @@ COORDINATE_ERRORS = {
     "underscore": (["1", "1_0"], None, 1, "bad rational '1_0': Invalid literal for Fraction: '1_0'"),
     "underscore-decimal": (["1", "1_0.5"], None, 1,
                            "bad rational '1_0.5': Invalid literal for Fraction: '1_0.5'"),
+    "point-alone": (["1", "-."], None, 1, "bad rational '-.': Invalid literal for Fraction: '-.'"),
+    # a decimal's digits, on both sides of its point, are one integer
+    "decimal-digit-cap": (["1", "1" * jsonio.MAX_RATIONAL_DIGITS + ".5"], None, 1,
+                          f"bad rational '{'1' * 40}'...: more than {jsonio.MAX_RATIONAL_DIGITS} digits"),
 }
 
 

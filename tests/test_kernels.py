@@ -238,7 +238,8 @@ def test_canonical_form_on_truncation_stripping_and_zero(conductor):
         assert_canonical(s)
 
 
-HEIGHTS = st.sampled_from([1, 4, 64, 3000])
+# heights whose pairs fill slots of every width from 1 to 10 bytes and past
+HEIGHTS = st.sampled_from([1, 4, 12, 20, 28, 36, 64, 3000])
 
 
 @settings(max_examples=100, deadline=None)
@@ -260,11 +261,19 @@ SIGN_PAIRS = [pytest.param(("pos", "pos"), id="1"), pytest.param(("pos", "neg"),
 ]
 
 
+# the rows past the first four take slots of 1 and 3 to 9 bytes, and the
+# width estimate of their min-min sums is all 8 * nbytes bits of the slot
+EXTREME_ROWS = [(1, 1, 400, 300), (64, 64, 200, 150), (1, 3000, 40, 30), (3000, 3000, 40, 30), (1, 1, 7, 5)]
+EXTREME_ROWS += [(8, 8, 40, 30), (12, 12, 40, 30), (4, 28, 40, 30), (20, 20, 40, 30), (24, 24, 40, 30)]
+EXTREME_ROWS += [(28, 28, 40, 30), (32, 32, 40, 30)]
+
+
 @pytest.mark.parametrize("signs", SIGN_PAIRS)
-@pytest.mark.parametrize("ha, hb, la, lb", [(1, 1, 400, 300), (64, 64, 200, 150), (1, 3000, 40, 30), (3000, 3000, 40, 30)])
+@pytest.mark.parametrize("ha, hb, la, lb", EXTREME_ROWS)
 def test_product_methods_extreme_sums(ha, hb, la, lb, signs):
     ea, eb = (EXTREMES[s] for s in signs)
-    assert_product_methods([ea(ha)] * la, [eb(hb)] * lb, la + lb - 1)
+    for size in (la + lb - 1, la):  # whole and truncated
+        assert_product_methods([ea(ha)] * la, [eb(hb)] * lb, size)
 
 
 def assert_product_methods(a, b, size):
