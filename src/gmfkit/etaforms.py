@@ -10,8 +10,9 @@ E(q^d)^r is E powered at its own length and only then spread d-fold.
 
 The shipped basis catalogue covers the genus-one Gamma_0(N) whose
 one-dimensional space of weight-2 cusp forms is spanned by a known eta
-quotient, and every group whose coset table gives genus 0, so the space 0.
-Anything else comes in through basis data files.
+quotient, and every group whose coset table gives genus 0, so the space 0;
+none has level above 25, where no table is built.  Anything else comes in
+through basis data files.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .errors import (
     MalformedInputError,
     NoBasisAvailableError,
     PrecisionError,
-    UnsupportedGroupError,
 )
 from .linalg import rank
 from .numberfield import RATIONAL, _product
@@ -222,11 +222,11 @@ def _read_basis(group: GroupDescriptor, precision: int, path=None) -> CuspFormBa
     if group.kind == GAMMA0 and group.level in _GENUS_ONE_ETA:
         form = eta_quotient_expansion(shipped_quotient(group.level), precision)
         return CuspFormBasis(group, (form,))
-    try:
-        if invariants(group).genus == 0:  # the weight-2 cusp form space is trivial
-            return CuspFormBasis(group, ())
-    except UnsupportedGroupError:  # past the coset-table cap
-        pass
+    # X_0(N) has genus 0 only for N <= 10, 12, 13, 16, 18 and 25 (Ogg), and
+    # Gamma_1(N) and Gamma(N) lie inside Gamma_0(N): past level 25 every group
+    # has cusp forms, and is refused without a coset table
+    if group.level <= 25 and invariants(group).genus == 0:
+        return CuspFormBasis(group, ())  # the weight-2 cusp form space is trivial
     raise NoBasisAvailableError(f"no shipped basis for {group}; supply a basis data file")
 
 

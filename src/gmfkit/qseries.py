@@ -54,12 +54,13 @@ series is nonzero (a fixed list) or where the unknowns found so far are
 (a growing list), whichever list is shorter than half the dense range
 (``SPARSE_STEP``); a coefficient counts as nonzero when any coordinate is.
 Lacunary series, such as the CM newforms of levels 27, 32 and 36 or the
-Euler product, so pay only for their nonzero terms.  A strategy only
-chooses the operands, and one loop forms every dot product.  J.C.P.
-Miller's recurrence n a(0) b(n) = sum_k ((m + 1) k - n) a(k) b(n - k)
-for f ** m, m < -1, is a mode that puts a small weight on each chosen
-a(k), so no inverse is powered; m > 1 squares and multiplies.  The four
-kernels whose result may share a factor with its denominator, ``truncate``,
+Euler product, so pay only for their nonzero terms.  A strategy chooses
+only its list of terms; both operands are gathered from that list, and one
+loop forms every dot product.  J.C.P. Miller's recurrence n a(0) b(n) =
+sum_k ((m + 1) k - n) a(k) b(n - k) for f ** m, m < -1, is a mode whose
+a(k) carry the small weight (m + 1) k - n as they are gathered, so no
+inverse is powered; m > 1 squares and multiplies.  The four kernels
+whose result may share a factor with its denominator, ``truncate``,
 ``+``, ``*`` and ``scale``, divide it out with one running gcd that stops
 at 1 (``_lowest``), run from the last coordinate, where a denominator
 built up term by term first shows in full; every other result is canonical
@@ -582,12 +583,11 @@ def _recurrence(r, rd, g, gd, terms, field, by_index=False, power=None):
     # the sum taken as one dot product per pair of coordinates (a of g, b of
     # X) into the slot a + b of a polynomial in zeta
     width, rc = 2 * deg - 1, rd * c
-    # the indices j >= 1 of the nonzero g[j], and each coordinate a of g at
-    # every j (cols[a]) and at those j alone (gvals[a])
+    # the indices j >= 1 of the nonzero g[j], each coordinate a of g
+    # (cols[a]), and the pairs whose a is nonzero at some j >= 1
     gnz = _nonzero(g, deg)[1:]
     cols = [g[a::deg] for a in range(deg)]
-    gvals = [[col[j] for j in gnz] for col in cols]
-    pairs = [(a, b) for a in range(deg) if any(gvals[a]) for b in range(deg)]
+    pairs = [(a, b) for a in range(deg) if any(cols[a][1:]) for b in range(deg)]
     # each coordinate b of the unknowns so far (xcols[b]) and the indices of
     # the nonzero ones (xnz); ng counts the j in gnz up to k, advanced by at
     # most one a step
@@ -600,21 +600,15 @@ def _recurrence(r, rd, g, gd, terms, field, by_index=False, power=None):
         nx = len(xnz)
         if ng < len(gnz) and gnz[ng] == k:
             ng += 1
-        # each strategy only chooses its j (js) and the operands: coordinate b
-        # of the x[k-j] (xs[b]) against the same j of cols[a] (gvs[a])
-        if SPARSE_STEP * (ng if ng < nx else nx) >= k:
-            js, xs, gvs = range(k, 0, -1), xcols, [col[k:0:-1] for col in cols]
-        else:
-            if ng <= nx:
-                js, gvs = gnz[:ng], [vals[:ng] for vals in gvals]
-                at = [k - j for j in js]
-            else:
-                js, at = [k - i for i in xnz], xnz
-                gvs = [[col[j] for j in js] for col in cols]
-            xs = [[xcol[i] for i in at] for xcol in xcols]
-        if power is not None:  # Miller's weight w(k, j), a small int, on each g[j]
-            ws = [k - (power + 1) * j for j in js]
-            gvs = [list(map(mul, ws, vals)) for vals in gvs]
+        # a strategy chooses only its j (js); coordinate b of the x[k-j]
+        # (xs[b]) and coordinate a of the g[j] (gvs[a]) are gathered from js
+        dense = SPARSE_STEP * (ng if ng < nx else nx) >= k
+        js = range(k, 0, -1) if dense else gnz[:ng] if ng <= nx else [k - i for i in xnz]
+        xs = xcols if dense else [[xcol[k - j] for j in js] for xcol in xcols]
+        if power is None:
+            gvs = [col[k:0:-1] if dense else [col[j] for j in js] for col in cols]
+        else:  # each g[j] carries Miller's weight w(k, j), a small int, as it is gathered
+            gvs = [[(k - (power + 1) * j) * col[j] for j in js] for col in cols]
         sums = [0] * width
         for a, b in pairs:
             sums[a + b] += sum(map(mul, xs[b], gvs[a]))

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import gmfkit
 import reference_kernels
-from gmfkit import jsonio
+from gmfkit import jsonio, subgroup
 from gmfkit.cli import decomposition_to_obj, run
 from gmfkit.etaforms import CuspFormBasis, EtaQuotient, eta_quotient_expansion, validate_basis
 from gmfkit.etaforms import euler_product, shipped_levels, shipped_quotient
@@ -491,6 +491,20 @@ class TestCertify:
         )
         assert obj["verdict"] == "finite-order-consistent"
         assert obj["detail"]["decomposition"]["basis_coords"] == ["0"]
+
+    def test_group_past_level_25_refused_without_its_coset_table(self, capsys, monkeypatch,
+                                                                 f11_path):
+        # no group of level above 25 has genus 0, so gamma1:447 (88,800
+        # cosets) is refused for want of a shipped basis before any table
+        monkeypatch.setattr(subgroup, "_TABLE_CACHE", {})
+        code, out = invoke(capsys, "certify", "--f", f11_path, "--group", "gamma1:447",
+                           "--prec", "60")
+        assert code == 2
+        assert out == json.dumps({
+            "error_kind": "no-basis-available",
+            "message": "no shipped basis for gamma1:447; supply a basis data file",
+        }, indent=2) + "\n"
+        assert subgroup._TABLE_CACHE == {}
 
     def test_explicit_prefix(self, capsys, tmp_path):
         g = eta_quotient_expansion(EtaQuotient(((1, 2), (11, 2)), 11), 70)

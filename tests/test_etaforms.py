@@ -305,6 +305,13 @@ class TestShippedCatalogue:
                 empty.add(n)
             assert empty == self.GENUS_ZERO[kind], kind
 
+    def test_genus_zero_at_level_25_or_below(self):
+        # the coset tables, across level 25, give genus 0 at the classical
+        # levels alone: load_basis refuses past 25 without building a table
+        for kind, top in ((GAMMA0, 60), (GAMMA1, 60), (GAMMA, 30)):
+            zero = {n for n in range(1, top + 1) if invariants(GroupDescriptor(kind, n)).genus == 0}
+            assert zero == self.GENUS_ZERO[kind] and max(zero) <= 25, kind
+
     @pytest.mark.parametrize("group", ["gamma:200", "gamma1:100000000", "gamma0:1000000000000000003"])
     def test_group_past_the_table_cap_has_no_basis(self, group):
         group = GroupDescriptor.parse(group)

@@ -118,14 +118,15 @@ def test_exp_from_logderiv(g, target):
 
 
 @st.composite
-def sparse_series(draw, lead=st.integers(-3, 3), size=st.integers(12, 32)):
+def sparse_series(draw, lead=st.integers(-3, 3), size=st.integers(12, 32),
+                  density=st.sampled_from([0.05, 0.15, 0.3, 0.6, 1.0])):
     """A level-1 series over Q or Q(zeta_m) with small coordinates whose
     coefficients past the first are nonzero at a drawn density, so that a
     recurrence's steps fall on both sides of the switch between a dense and
     a sparse sum; the leading coefficient is other than 1 in half the draws."""
     field = draw(FIELD)
     rnd = draw(st.randoms(use_true_random=False))
-    density = draw(st.sampled_from([0.05, 0.15, 0.3, 0.6, 1.0]))
+    density = draw(density)
 
     def value():
         coords = [Fraction(rnd.choice([-1, 1]) * rnd.randint(1, 9), rnd.randint(1, 3))
@@ -187,6 +188,19 @@ def test_pow_by_miller(f, n, negative):
     assert outcome(QExpansion.__pow__, f, m) == expected
     if negative:
         assert outcome(lambda: f.inverse() ** n) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_series(size=st.integers(24, 48), density=st.sampled_from([0.05, 0.1, 0.15])))
+def test_miller_over_sparse_unknowns(s):
+    # the inverse f of a sparse s is dense, and f ** m for m = -1, -2, -3
+    # (s, s^2 and s^3) sparse again: Miller's steps then sum over the few
+    # nonzero unknowns found so far rather than the many nonzero f[j]
+    f = s.inverse()
+    for m in (-1, -2, -3):
+        expected = outcome(ref.power, f, m)
+        assert outcome(QExpansion._miller, f, m) == expected
+        assert outcome(QExpansion.__pow__, f, m) == expected
 
 
 @RUNS

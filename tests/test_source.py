@@ -237,6 +237,22 @@ def test_recurrence_sums_in_one_loop():
     assert len(sums) == 1 and sums == {id(node) for node in ast.walk(loops[0])} & sums
 
 
+def test_recurrence_gathers_from_one_list_of_j():
+    # a strategy chooses only its j: the unknowns are gathered in one
+    # statement, the g[j] in one per mode (a power's carrying Miller's
+    # weight), and map(mul, ...) runs only in the loop over the pairs
+    _, function = module_function("qseries", "_recurrence")
+    (loop,) = [node for node in ast.walk(function)
+               if isinstance(node, ast.For) and ast.unparse(node.iter) == "pairs"]
+    maps = {id(node) for node in ast.walk(function)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "map"
+            and ast.unparse(node.args[0]) == "mul"}
+    assert len(maps) == 1 and maps <= {id(node) for node in ast.walk(loop)}
+    assigned = Counter(node.id for node in ast.walk(function)
+                       if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store))
+    assert assigned["xs"] == 1 and assigned["gvs"] == 2
+
+
 def test_no_pattern_reads_unicode_digits():
     # the regex class \d matches every Unicode digit, so "１２" or "٣" would
     # pass a pattern meant for ASCII digits
