@@ -43,7 +43,10 @@ operands' lengths and bit lengths.  The packed slots move between ints and
 bytes all at once through ``array`` words when a slot is at most 8 bytes
 wide, as it is for small-integer series such as eta products, and by one
 call per entry when it is wider; the slot width alone picks the way.
-``divide`` (and through it
+A divisor with no term past its lead, c q^h, is a shift and a scale, and
+the exponential of the zero series is 1, so that f / 1 and exp 0 (the
+f0 = 1 of every decomposition whose g0 is zero) are linear in the term
+count.  Otherwise ``divide`` (and through it
 ``inverse``), ``theta_logderiv`` (theta f / f), ``exp_from_logderiv`` and
 negative powers all solve one online recurrence, ``_recurrence``, which keeps
 its unknowns as one list of integers per coordinate over their running lcm
@@ -272,7 +275,7 @@ class QExpansion:
         c = QExpansion(self.level, 0, [scalar], 1, self.field)
         if c.is_zero:
             return QExpansion.zero(self.level, self.precision, self.field)
-        if self.is_zero:
+        if self.is_zero or c == QExpansion.one(self.level, 1, self.field):
             return self
         out = _convolved(self.nums, c.nums, self.relative_precision, self.field)
         return self._like(self.lead, *_lowest(out, self.den * c.den), self.precision)
@@ -292,7 +295,8 @@ class QExpansion:
         return out
 
     def divide(self, other: "QExpansion", target_precision=None) -> "QExpansion":
-        """self / other by one online recurrence; agrees with
+        """self / other by one online recurrence, or, when other is a
+        monomial c q^h, by a shift and a scale; agrees with
         self * other.inverse() but skips the intermediate series."""
         self._require_compatible(other)
         if other.is_zero:
@@ -305,7 +309,11 @@ class QExpansion:
         lead = self.lead - other.lead
         if self.is_zero or precision <= lead:
             return QExpansion.zero(self.level, precision, self.field)
-        size = (precision - lead) * self.field.degree
+        deg = self.field.degree
+        if not any(other.nums[deg:]):  # other = c q^h + O(q^P): no term past its lead
+            c = other.coeff(other.lead)
+            return self.shift(-other.lead).truncate(precision).scale(1 / c)
+        size = (precision - lead) * deg
         nums, den = _recurrence(
             self.nums[:size], self.den, other.nums[:size], other.den, precision - lead, self.field
         )
@@ -488,6 +496,8 @@ def exp_from_logderiv(g: QExpansion, target_precision: int) -> QExpansion:
     if precision < 1:
         raise PrecisionError("target precision leaves no coefficients determined")
     field = g.field
+    if g.is_zero:  # exp 0 = 1
+        return QExpansion.one(g.level, precision, field)
     # with b(k) the coefficients of g, this is the recurrence for 1 - b, s(n) = n
     one_minus_b = QExpansion.one(g.level, precision, field) - g
     one = [1] + [0] * (field.degree - 1)

@@ -71,16 +71,17 @@ class IntegerMatrix:
 
     Immutable, equal and hashing as the tuple of its entries does (but never
     equal to a tuple); ``__init__`` writes the entries through the slot
-    descriptors, past the ``__setattr__`` that refuses every later write.
+    descriptors' setters, bound once below the class, past the
+    ``__setattr__`` that refuses every later write.
     """
 
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a: int, b: int, c: int, d: int):
-        IntegerMatrix.a.__set__(self, a)
-        IntegerMatrix.b.__set__(self, b)
-        IntegerMatrix.c.__set__(self, c)
-        IntegerMatrix.d.__set__(self, d)
+        _SET_A(self, a)
+        _SET_B(self, b)
+        _SET_C(self, c)
+        _SET_D(self, d)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -126,6 +127,10 @@ class IntegerMatrix:
     def entries(self):
         return ((self.a, self.b), (self.c, self.d))
 
+
+_SET_A, _SET_B, _SET_C, _SET_D = (
+    slot.__set__ for slot in (IntegerMatrix.a, IntegerMatrix.b, IntegerMatrix.c, IntegerMatrix.d)
+)
 
 IDENTITY = IntegerMatrix(1, 0, 0, 1)
 GEN_S = IntegerMatrix(0, -1, 1, 0)

@@ -844,9 +844,12 @@ class TestPinnedOutput:
         (36, "certify"): "32161bfca4c6872e464f111f990a24244fb2478e751879cec7e687fd4739707d",
     }
 
-    @pytest.mark.parametrize("level, verb", sorted(PINNED))
-    def test_stdout_hash(self, capsys, tmp_path, level, verb):
-        terms = 240
+    TERMS = 240
+
+    def write_f(self, tmp_path, level):
+        """Write f and the prefix of f1 for the newform of ``level``; return
+        the two paths."""
+        terms = self.TERMS
         newform = eta_quotient_expansion(EtaQuotient(self.NEWFORMS[level], level), terms)
         f0 = exp_from_logderiv(newform.scale(Fraction(59, 61)), terms)
         f1 = QExpansion(1, 0, [1] + [(-1) ** n * (n % 9 + 1) for n in range(1, terms)], terms)
@@ -854,12 +857,33 @@ class TestPinnedOutput:
         f_path.write_text(json.dumps(jsonio.series_to_obj(f1 * f0)))
         prefix_path = tmp_path / "prefix.json"
         prefix_path.write_text(json.dumps([str(c) for c in f1.coeffs[:2]]))  # kappa = 1
-        argv = [verb, "--f", str(f_path), "--group", f"gamma0:{level}", "--prec", str(terms)]
+        return f_path, prefix_path
+
+    @pytest.mark.parametrize("level, verb", sorted(PINNED))
+    def test_stdout_hash(self, capsys, tmp_path, level, verb):
+        f_path, prefix_path = self.write_f(tmp_path, level)
+        argv = [verb, "--f", str(f_path), "--group", f"gamma0:{level}", "--prec", str(self.TERMS)]
         if verb == "decompose":
             argv += ["--prefix", str(prefix_path)]
         code, out = invoke(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[level, verb]
+
+    # SHA-256 of certify's stdout on the level-11 f above for groups of genus
+    # zero, where g0 = 0, f0 = 1 and f1 = f, recorded before a monomial
+    # divisor and the exponential of zero skipped the recurrence.  The
+    # report does not name the group, so the two are the same bytes.
+    PINNED_GENUS_ZERO = {
+        "gamma0:2": "e713e64b91f206c5f62d8fd47ae2ee3e7956154a7580c9a35c5cc6e0793f2cad",
+        "gamma1:5": "e713e64b91f206c5f62d8fd47ae2ee3e7956154a7580c9a35c5cc6e0793f2cad",
+    }
+
+    @pytest.mark.parametrize("group", sorted(PINNED_GENUS_ZERO))
+    def test_genus_zero_certify_hash(self, capsys, tmp_path, group):
+        f_path, _ = self.write_f(tmp_path, 11)
+        code, out = invoke(capsys, "certify", "--f", str(f_path), "--group", group, "--prec", str(self.TERMS))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_GENUS_ZERO[group]
 
     # (exit code, SHA-256 of stdout) of the check reports of verify and
     # validate-basis, recorded before the check entries had one builder;

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_kernels as ref
+from gmfkit import qseries
 from gmfkit.errors import GmfError
 from gmfkit.etaforms import EtaQuotient, eta_quotient_expansion
 from gmfkit.numberfield import RATIONAL, CyclotomicElement, FieldTag, _convolve, _dot_products, _kronecker
@@ -111,8 +112,12 @@ def test_theta_logderiv(f):
     assert outcome(QExpansion.theta_logderiv, f) == outcome(ref.theta_logderiv, f)
 
 
+# the zero series of the drawn field, known to a drawn precision
+ZERO = FIELD.flatmap(lambda field: st.integers(-2, 20).map(lambda p: QExpansion.zero(1, p, field)))
+
+
 @RUNS
-@given(series(lead=st.integers(1, 3)), st.integers(1, 40))
+@given(series(lead=st.integers(1, 3)) | ZERO, st.integers(1, 40))
 def test_exp_from_logderiv(g, target):
     assert outcome(exp_from_logderiv, g, target) == outcome(ref.exp_from_logderiv, g, target)
 
@@ -168,6 +173,30 @@ def test_recurrences_on_newforms(pairs, level):
     assert outcome(QExpansion.theta_logderiv, f0) == outcome(ref.theta_logderiv, f0)
     assert outcome(QExpansion.theta_logderiv, g0) == outcome(ref.theta_logderiv, g0)
     assert outcome(QExpansion.divide, g0, f0) == outcome(ref.divide, g0, f0)
+
+
+@pytest.mark.parametrize("conductor, c", [
+    (None, Fraction(-3, 7)),
+    (None, Fraction(-(3**1890), 7**1070)),  # about 3 kbit over 3 kbit
+    (5, CyclotomicElement(5, [Fraction(2, 3), -1, 0, Fraction(1, 5)])),
+], ids=["q-small", "q-tall", "zeta5"])
+def test_monomial_divisor_and_exp_of_zero_skip_the_recurrence(monkeypatch, conductor, c):
+    # division by c q^3 (known to q^9) is a shift and a scale, the inverse
+    # of c q^3 a scaled monomial, and exp 0 is 1: none runs the recurrence
+    def refuse(*args, **kwargs):
+        raise AssertionError("the recurrence ran")
+
+    monkeypatch.setattr(qseries, "_recurrence", refuse)
+    field = FieldTag(conductor)
+    z = CyclotomicElement.zeta(conductor) if conductor else 1
+    values = [Fraction((-1) ** k * (k % 7 + 1), 61**k) * z**k for k in range(20)]
+    f = QExpansion(1, -2, values, 18, field)
+    g = QExpansion.monomial(1, 3, 9, field, c)
+    for target in (None, 0, 4, 30):
+        assert outcome(QExpansion.divide, f, g, target) == outcome(ref.divide, f, g, target)
+    assert outcome(QExpansion.inverse, g) == outcome(ref.inverse, g)
+    zero = QExpansion.zero(1, 12, field)
+    assert outcome(exp_from_logderiv, zero, 30) == outcome(ref.exp_from_logderiv, zero, 30)
 
 
 def test_recurrence_past_short_operands():
