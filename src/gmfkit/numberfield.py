@@ -92,7 +92,9 @@ def _poly_divmod_monic(num, den):
 
 def _convolve(a, b, size):
     """The first ``size`` coefficients of the product of two nonempty
-    integer sequences of length at most ``size``.
+    integer sequences of length at most ``size``, each side's zero tail
+    dropped first (one entry kept): a one-term side, such as a monomial
+    series or a rational-valued element, costs a pass over the other.
 
     Packing both sides into one integer (Kronecker substitution) lets
     CPython's Karatsuba multiply do the whole convolution, but every slot
@@ -107,6 +109,7 @@ def _convolve(a, b, size):
     products that ``certify``, ``decompose`` and ``eta-expand`` make, where
     dot products win only with slots of 68 bytes or more.
     """
+    a, b = _trimmed(a), _trimmed(b)
     ha = max(map(abs, a)).bit_length()
     hb = max(map(abs, b)).bit_length()
     short, long_ = sorted((len(a), len(b)))
@@ -119,6 +122,13 @@ def _convolve(a, b, size):
     if dot < kronecker:
         return _dot_products(a, b, size)
     return _kronecker(a, b, size, width)
+
+
+def _trimmed(xs):
+    n = len(xs)
+    while n > 1 and not xs[n - 1]:
+        n -= 1
+    return xs[:n]
 
 
 def _dot_products(a, b, size):

@@ -43,13 +43,14 @@ operands' lengths and bit lengths.  The packed slots move between ints and
 bytes all at once through ``array`` words when a slot is at most 8 bytes
 wide, as it is for small-integer series such as eta products, and by one
 call per entry when it is wider; the slot width alone picks the way.
-A divisor with no term past its lead, c q^h, is a shift and a scale, and
-the exponential of the zero series is 1, so that f / 1 and exp 0 (the
-f0 = 1 of every decomposition whose g0 is zero) are linear in the term
-count.  Otherwise ``divide`` (and through it
-``inverse``), ``theta_logderiv`` (theta f / f), ``exp_from_logderiv`` and
-negative powers all solve one online recurrence, ``_recurrence``, which keeps
-its unknowns as one list of integers per coordinate over their running lcm
+Every product is ``*`` (``scale`` multiplies by a one-term series) and
+convolves only its operands' nonzero spans; a divisor c q^h, with no term
+past its lead, is a shift and a scale; and exp 0 is 1: so f * 1, f / 1 and
+exp 0 (the f0 = 1 of every decomposition whose g0 is zero) cost one pass.
+Every other quotient is ``divide`` (through it ``inverse`` and
+``theta_logderiv``, theta f / f); it, ``exp_from_logderiv`` and negative
+powers all solve one online recurrence, ``_recurrence``, which keeps its
+unknowns as one list of integers per coordinate over their running lcm
 denominator (already the canonical form) and forms each inner sum as
 phi(m)^2 integer dot products.  Each step picks, from counts alone, the
 terms its sum runs over: all of them, or only those where the known
@@ -62,12 +63,11 @@ only its list of terms; both operands are gathered from that list, and one
 loop forms every dot product.  J.C.P. Miller's recurrence n a(0) b(n) =
 sum_k ((m + 1) k - n) a(k) b(n - k) for f ** m, m < -1, is a mode whose
 a(k) carry the small weight (m + 1) k - n as they are gathered, so no
-inverse is powered; m > 1 squares and multiplies.  The four kernels
-whose result may share a factor with its denominator, ``truncate``,
-``+``, ``*`` and ``scale``, divide it out with one running gcd that stops
-at 1 (``_lowest``), run from the last coordinate, where a denominator
-built up term by term first shows in full; every other result is canonical
-as computed.
+inverse is powered; m > 1 squares and multiplies.  The results that may
+share a factor with their denominator, of ``truncate``, ``+``, ``*`` and
+theta f, divide it out with one running gcd that stops at 1 (``_lowest``),
+run from the last coordinate, where a denominator built up term by term
+first shows in full; every other result is canonical as computed.
 """
 
 from __future__ import annotations
@@ -271,14 +271,11 @@ class QExpansion:
         return self._like(lead, *_lowest(out, self.den * other.den), precision)
 
     def scale(self, scalar) -> "QExpansion":
-        """Multiply every coefficient by a fixed field element."""
-        c = QExpansion(self.level, 0, [scalar], 1, self.field)
-        if c.is_zero:
-            return QExpansion.zero(self.level, self.precision, self.field)
-        if self.is_zero or c == QExpansion.one(self.level, 1, self.field):
+        """Every coefficient times ``scalar``: the product with scalar + O(q^M)."""
+        c = self.field.coerce(scalar)
+        if self.is_zero or c == 1:
             return self
-        out = _convolved(self.nums, c.nums, self.relative_precision, self.field)
-        return self._like(self.lead, *_lowest(out, self.den * c.den), self.precision)
+        return self * QExpansion(self.level, 0, [c], self.relative_precision, self.field)
 
     def shift(self, k: int) -> "QExpansion":
         """Multiply by q_N^k (shift all exponents by k)."""
@@ -349,26 +346,19 @@ class QExpansion:
             self.nums[:deg], self.den, self.nums, self.den, terms, self.field, True, m
         )
         power = self._like(m * self.lead, nums, den, m * self.lead + terms)
-        lead = self.coeff(self.lead)
-        return power if lead == 1 else power.scale(lead**m)
+        return power.scale(self.coeff(self.lead) ** m)
 
     # ------------------------------------------------------------------
     # logarithmic derivative and friends
 
     def theta_logderiv(self) -> "QExpansion":
-        """(q d/dq f) / f.
-
-        For f = q^h (c + ...) the result is the constant h plus a series
-        with positive exponents; it does not depend on the scale c.
-        """
+        """theta f / f, theta = q d/dq: for f = q^h (c + ...) the constant h
+        plus a series with positive exponents, whatever the scale c."""
         if self.is_zero:
             raise DivisionByZeroSeriesError("logarithmic derivative of the zero series")
-        # theta f / f with both shifted by q^-h; x[0] = h c / c is the constant h
         h, deg = self.lead, self.field.degree
         theta = [(h + i // deg) * x for i, x in enumerate(self.nums)]
-        terms = self.relative_precision
-        nums, den = _recurrence(theta, self.den, self.nums, self.den, terms, self.field)
-        return self._like(0, nums, den, terms)
+        return self._like(h, *_lowest(theta, self.den), self.precision).divide(self)
 
     # ------------------------------------------------------------------
     # level changes
@@ -518,7 +508,7 @@ def first_disagreement(f: QExpansion, g: QExpansion):
 def _lowest(nums, den):
     """(nums, den) with gcd(den, *nums) divided out, found by a running gcd
     that stops at 1: for the results that may share a factor with their
-    denominator (a truncation, a sum, a product, a scaling).  The scan runs
+    denominator (a truncation, a sum, a product, theta f).  The scan runs
     from the last coordinate: in a series whose denominators grow term by
     term the full denominator first shows at the tail, so the gcd falls to
     1 within a few tall steps instead of one tall step per coordinate."""

@@ -7,6 +7,7 @@ from conftest import assert_agree
 from gmfkit.cli import decomposition_from_obj, decomposition_to_obj
 from gmfkit.errors import (
     GroupMismatchError,
+    IncompatibleSeriesError,
     MalformedInputError,
     NotCyclotomicError,
     NotNormalizedError,
@@ -198,6 +199,24 @@ class TestDecomposeWithPrefix:
         f = PGMF(ETA11.truncate(10), G11)
         with pytest.raises(PrecisionError):
             decompose_with_prefix(f, [1, -2], BASIS11, 60)
+
+    def test_prefix_must_start_with_one(self):
+        f, *_ = synthetic_worked_example(30)
+        with pytest.raises(NotNormalizedError, match="^prefix must start with 1$"):
+            decompose_with_prefix(f, [2, -2], BASIS11, 30)
+
+    def test_basis_at_another_level(self):
+        # the forms' coefficients fit the prefix, but they are tagged level 22
+        f, *_ = synthetic_worked_example(30)
+        forms = tuple(QExpansion(22, g.lead, g.coeffs, g.precision) for g in BASIS11.forms)
+        with pytest.raises(IncompatibleSeriesError, match="^basis forms live at level 22, f at level 1$"):
+            decompose_with_prefix(f, [1, -2], CuspFormBasis(G11, forms), 30)
+
+    def test_basis_below_working_precision(self):
+        f, *_ = synthetic_worked_example(30)
+        short = CuspFormBasis(G11, tuple(g.truncate(20) for g in BASIS11.forms))
+        with pytest.raises(PrecisionError, match="^basis precision 20 below working precision 30$"):
+            decompose_with_prefix(f, [1, -2], short, 30)
 
     def test_inconsistent_prefix_raises_with_witness(self):
         g13 = GroupDescriptor(GAMMA0, 13)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_kernels as ref
-from gmfkit import qseries
+from gmfkit import numberfield, qseries
 from gmfkit.errors import GmfError
 from gmfkit.etaforms import EtaQuotient, eta_quotient_expansion
 from gmfkit.numberfield import RATIONAL, CyclotomicElement, FieldTag, _convolve, _dot_products, _kronecker
@@ -42,11 +42,16 @@ def series(draw, lead=st.integers(-3, 3), unit=False):
     """A level-1 series over Q or Q(zeta_m): small or tall coordinates, a
     leading coefficient other than 1 unless ``unit``, one term in some
     draws, known trailing zeros in others, and made sparse by q -> q^d in
-    others."""
+    others.  A small body is often all zeros, so one of its terms is drawn
+    nonzero: only the size-1 draws are monomials, listed last because
+    hypothesis draws a list's first entry most often."""
     field = draw(FIELD)
-    size = draw(st.sampled_from([1, 1, 2, 5, 9, 14]))
+    size = draw(st.sampled_from([2, 5, 9, 14, 1, 1]))
     height = draw(st.sampled_from([SMALL, SMALL, TALL]))
     body = [element(draw, field, height, height) for _ in range(size - 1)]
+    if body:
+        nonzero = NONZERO if height is SMALL else TALL
+        body[draw(st.integers(0, size - 2))] = element(draw, field, nonzero, height)
     # tall coordinates enter over Q(zeta_m) through the body only: dividing
     # by a tall lead adds the height of its norm per term (400 kbit within 6
     # terms at m = 12), and the reference loops then take tens of seconds
@@ -197,6 +202,42 @@ def test_monomial_divisor_and_exp_of_zero_skip_the_recurrence(monkeypatch, condu
     assert outcome(QExpansion.inverse, g) == outcome(ref.inverse, g)
     zero = QExpansion.zero(1, 12, field)
     assert outcome(exp_from_logderiv, zero, 30) == outcome(ref.exp_from_logderiv, zero, 30)
+    for h in (0, 2):  # theta f / f divides by f, here the monomial c q^h
+        m = QExpansion.monomial(1, h, h + 9, field, c)
+        assert outcome(QExpansion.theta_logderiv, m) == outcome(ref.theta_logderiv, m)
+
+
+@pytest.mark.parametrize("conductor, terms, c", [
+    (None, 2000, Fraction(-3, 7)),
+    (5, 200, CyclotomicElement(5, [Fraction(2, 3), -1, 0, Fraction(1, 5)])),
+], ids=["q", "zeta5"])
+def test_monomial_factor_is_one_pass(monkeypatch, conductor, terms, c):
+    # a product with 1 or with c q^3 convolves the monomial's one nonzero
+    # coefficient against the other operand, by dot products for f's
+    # 11-kbit denominator at 2,000 terms: f * 1, 1 * f and f * c q^3
+    field = FieldTag(conductor)
+    z = CyclotomicElement.zeta(conductor) if conductor else 1
+    values = [Fraction((-1) ** k * (k % 7 + 1), 61**k) * z**k for k in range(terms)]
+    f = QExpansion(1, -2, values, terms - 2, field)
+    one = QExpansion.one(1, terms, field)
+    cq3 = QExpansion.monomial(1, 3, terms + 3, field, c)
+    shorter = []
+
+    def refuse(*args):
+        raise AssertionError("the operands were packed")
+
+    def dot_products(a, b, size, run=numberfield._dot_products):
+        shorter.append(min(len(a), len(b)))
+        return run(a, b, size)
+
+    for x, y in ((f, one), (one, f), (f, cq3)):
+        expected = ref.mul(x, y)  # the reference's element products may pack
+        shorter.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(numberfield, "_kronecker", refuse)
+            patch.setattr(numberfield, "_dot_products", dot_products)
+            assert outcome(QExpansion.__mul__, x, y) == expected
+        assert len(shorter) == 1 and shorter[0] <= field.degree
 
 
 def test_recurrence_past_short_operands():
@@ -233,10 +274,11 @@ def test_miller_over_sparse_unknowns(s):
 
 
 @RUNS
-@given(series(), series(), st.integers(-3, 3), st.integers(0, 16), st.data())
+@given(series() | ZERO, series(), st.integers(-3, 3), st.integers(0, 16), st.data())
 def test_linear_kernels(f, g, k, cut, data):
-    # sums, negation, scaling, shifts, truncations and Galois images against
-    # their coefficientwise definitions
+    # sums, negation, scaling (by 0 and 1 too, and of the zero series),
+    # shifts, truncations and Galois images against their coefficientwise
+    # definitions; a scalar of another field is refused
     def built(lead, values, precision):
         if precision <= lead:
             return QExpansion.zero(f.level, precision, f.field)
@@ -248,8 +290,11 @@ def test_linear_kernels(f, g, k, cut, data):
     assert outcome(QExpansion.__add__, f, g) == built(lo, [x + y for x, y in pairs], p)
     assert outcome(QExpansion.__sub__, f, g) == built(lo, [x - y for x, y in pairs], p)
     assert outcome(QExpansion.__sub__, f, f) == QExpansion.zero(f.level, f.precision, f.field)
-    c = element(data.draw, f.field, SMALL, SMALL)
-    assert outcome(QExpansion.scale, f, c) == built(f.lead, [c * x for x in f.coeffs], f.precision)
+    for c in (element(data.draw, f.field, SMALL, SMALL), 0, 1):
+        assert outcome(QExpansion.scale, f, c) == built(f.lead, [c * x for x in f.coeffs], f.precision)
+    foreign = CyclotomicElement(7 if f.field.conductor == 5 else 5, [0, 1])
+    with pytest.raises(ValueError, match="^(cyclotomic element in a rational-tagged context|conductor mismatch)"):
+        f.scale(foreign)
     assert outcome(QExpansion.shift, f, k) == built(f.lead + k, f.coeffs, f.precision + k)
     q = f.precision - cut
     assert outcome(QExpansion.truncate, f, q) == built(f.lead, f.coeffs[: q - f.lead], q)

@@ -131,6 +131,10 @@ class TestDivide:
                 continue
             assert f.divide(g) == f * g.inverse()
 
+    def test_zero_divisor_rejected(self, qs):
+        with pytest.raises(DivisionByZeroSeriesError, match="^division by the zero series$"):
+            qs(0, [1, 2], 4).divide(QExpansion.zero(1, 5))
+
 
 class TestThetaLogderiv:
     def test_constant(self):
@@ -149,7 +153,8 @@ class TestThetaLogderiv:
         assert f.theta_logderiv() == f.scale(F(7, 3)).theta_logderiv()
 
     def test_zero_rejected(self):
-        with pytest.raises(DivisionByZeroSeriesError):
+        # theta f / f divides by f, but names the logarithmic derivative
+        with pytest.raises(DivisionByZeroSeriesError, match="^logarithmic derivative of the zero series$"):
             QExpansion.zero(1, 3).theta_logderiv()
 
     def test_precision_is_relative(self, qs):
@@ -183,6 +188,11 @@ class TestPow:
     def test_power_zero(self, qs):
         f = qs(2, [1, 1], 8)
         assert f ** 0 == QExpansion.one(1, 6)
+
+    @pytest.mark.parametrize("precision, expected", [(5, 5), (0, 1), (-2, 1)])
+    def test_power_zero_of_zero_series(self, precision, expected):
+        # 0 ** 0 = 1, known to the zero series' precision, and at least to q^1
+        assert QExpansion.zero(1, precision) ** 0 == QExpansion.one(1, expected)
 
     def test_binomial(self, qs):
         sq = qs(0, [1, -1], 6) ** 2

@@ -169,13 +169,15 @@ def test_series_canonical_by_construction():
     # a series is in lowest terms as it is built: one initializer behind the
     # element and the integer constructors, every series allocated by the
     # latter, no flag saying a form is reduced, and the running gcd only in
-    # the kernels whose result can share a factor with its denominator and in
-    # the JSON reader, which puts the coordinates over their lcm as written
+    # the kernels whose result can share a factor with its denominator (theta
+    # f among them) and in the JSON reader, which puts the coordinates over
+    # their lcm as written
     assert sorted(callers("_store")) == ["qseries.QExpansion.__init__",
                                          "qseries.QExpansion._from_integers"]
     assert callers("__new__") == ["qseries.QExpansion._from_integers"]
     assert sorted(callers("_lowest")) == ["jsonio.series_from_obj"] + [
-        f"qseries.QExpansion.{name}" for name in ("__add__", "__mul__", "scale", "truncate")]
+        f"qseries.QExpansion.{name}"
+        for name in ("__add__", "__mul__", "theta_logderiv", "truncate")]
     flagged = [
         f"{path.stem}:{node.lineno}"
         for path in SOURCES
@@ -222,6 +224,15 @@ def module_function(module, name):
     tree = ast.parse((Path(gmfkit.__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
     (function,) = [node for node in tree.body if getattr(node, "name", None) == name]
     return tree, function
+
+
+def test_one_product_and_one_quotient():
+    # every series product, a scaling included, is the one convolution in
+    # __mul__, and the online recurrence runs for a quotient (divide, and
+    # through it inverse and theta f / f), an exponential and Miller's power
+    assert callers("_convolved") == ["qseries.QExpansion.__mul__"]
+    assert sorted(callers("_recurrence")) == [
+        "qseries.QExpansion._miller", "qseries.QExpansion.divide", "qseries.exp_from_logderiv"]
 
 
 def test_recurrence_sums_in_one_loop():
