@@ -132,6 +132,9 @@ def _trimmed(xs):
 
 
 def _dot_products(a, b, size):
+    if min(len(a), len(b)) == 1:  # a one-entry side c: c x in one pass over x
+        (c,), x = (a, b) if len(a) == 1 else (b, a)
+        return [c * y for y in x[:size]] + [0] * (size - len(x))
     top = len(b) - 1
     rb = b[::-1]
     out = []

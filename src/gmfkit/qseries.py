@@ -50,8 +50,9 @@ exp 0 (the f0 = 1 of every decomposition whose g0 is zero) cost one pass.
 Every other quotient is ``divide`` (through it ``inverse`` and
 ``theta_logderiv``, theta f / f); it, ``exp_from_logderiv`` and negative
 powers all solve one online recurrence, ``_recurrence``, which keeps its
-unknowns as one list of integers per coordinate over their running lcm
-denominator (already the canonical form) and forms each inner sum as
+unknowns as one list of integers per coordinate over a running denominator
+that, when it grows, takes in the next steps' denominators too (so earlier
+unknowns are rescaled every few steps) and forms each inner sum as
 phi(m)^2 integer dot products.  Each step picks, from counts alone, the
 terms its sum runs over: all of them, or only those where the known
 series is nonzero (a fixed list) or where the unknowns found so far are
@@ -64,10 +65,11 @@ loop forms every dot product.  J.C.P. Miller's recurrence n a(0) b(n) =
 sum_k ((m + 1) k - n) a(k) b(n - k) for f ** m, m < -1, is a mode whose
 a(k) carry the small weight (m + 1) k - n as they are gathered, so no
 inverse is powered; m > 1 squares and multiplies.  The results that may
-share a factor with their denominator, of ``truncate``, ``+``, ``*`` and
-theta f, divide it out with one running gcd that stops at 1 (``_lowest``),
-run from the last coordinate, where a denominator built up term by term
-first shows in full; every other result is canonical as computed.
+share a factor with their denominator, of ``truncate``, ``+``, ``*``, theta
+f and the recurrence (whose denominator may take in more than its steps use),
+divide it out with one running gcd that stops at 1 (``_lowest``), run from
+the last coordinate, where a denominator built up term by term first shows
+in full; every other result is canonical as computed.
 """
 
 from __future__ import annotations
@@ -102,6 +104,12 @@ MAX_POWER_BITS = 1 << 21
 # dense one: a step sums over the nonzero terms alone when that list is
 # shorter than 1 / SPARSE_STEP of the dense range.
 SPARSE_STEP = 2
+
+# A step of ``_recurrence`` that grows its running denominator d also takes
+# in the next steps' denominators m while they fit in 1 / AHEAD_ROOM of d's
+# bits, so the unknowns are rescaled once for several steps; a tall m (the
+# lead of a divisor f0) leaves no room.
+AHEAD_ROOM = 8
 
 
 class QExpansion:
@@ -567,9 +575,9 @@ def _recurrence(r, rd, g, gd, terms, field, by_index=False, power=None):
     w(k, j) = k - (m + 1) j for a ``power`` m (J.C.P. Miller's recurrence for
     (g / g[0]) ** m, given by_index and r = g[0]), else 1.
     r and g are given as integer coordinates over rd and gd and the unknowns
-    returned as integer coordinates over their running lcm denominator d,
-    which is canonical.  Entries of r and g past their ends are zero; g[0]
-    must be nonzero.
+    returned as integer coordinates over their running denominator d, in
+    lowest terms.  Entries of r and g past their ends are zero; g[0] must
+    be nonzero.
     """
     deg = field.degree
     if len(g) < terms * deg:  # so that g[k] exists at every step k
@@ -619,18 +627,26 @@ def _recurrence(r, rd, g, gd, terms, field, by_index=False, power=None):
             v = _times(v, unit, field.conductor)
         # with t = gcd(m, *v), m = rc s(k), x[k] = (v / t) / (d m / t), and
         # d m / t is the lcm of d and the reduced denominator of x[k]: a
-        # prime p gains max(0, v_p(m) - v_p(v)) in both
+        # prime p gains max(0, v_p(m) - v_p(v)) in both; den x[k] divides
+        # d m, so a step whose m d took in ahead finds t = m and grows nothing
         m = rc * (k if by_index and k > 1 else 1)
         t = gcd(m, *v) if m > 0 else -gcd(m, *v)
-        grow = m // t
-        if grow > 1:
+        grow, ahead = m // t, 1
+        if grow > 1:  # d also takes in the m of the steps after k (AHEAD_ROOM)
+            room = d.bit_length() // AHEAD_ROOM
+            for i in range(k + 1, terms):
+                more = ahead * abs(rc) * (i if by_index and i > 1 else 1)
+                if more.bit_length() > room:
+                    break
+                ahead = more
+            grow *= ahead
             d *= grow
             xcols = [[x * grow for x in xcol] for xcol in xcols]
         if any(v):
             xnz.append(k)
         for xcol, x in zip(xcols, v):
-            xcol.append(x // t)
+            xcol.append(x // t * ahead)
     nums = [0] * (terms * deg)
     for b, xcol in enumerate(xcols):
         nums[b::deg] = xcol
-    return nums, d
+    return _lowest(nums, d)  # d may have taken in more than the steps used

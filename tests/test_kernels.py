@@ -4,7 +4,7 @@ coefficients, lead and precision, and stored in the canonical form the
 constructor gives the same coefficients."""
 
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -62,6 +62,30 @@ def series(draw, lead=st.integers(-3, 3), unit=False):
     return f.substitute_power(draw(st.sampled_from([1, 1, 2, 3, 6])))
 
 
+# Q in two draws of three, Q(zeta_5) in the third: the field of the
+# growing-denominator series of one example
+GROWING_FIELD = st.shared(st.sampled_from([None, None, 5]).map(FieldTag), key="growing field")
+
+
+@st.composite
+def growing_series(draw, lead=st.integers(-3, 3)):
+    """A level-1 series over Q or Q(zeta_5) whose coefficient k past the
+    lead is x_k / b^k, for a base b of 2, 3 or 61 and small integer
+    coordinates x_k, with a few such terms and known zeros after them to up
+    to 40 terms: its quotients, inverse, exponential and powers grow their
+    denominators at nearly every step by much less than those denominators'
+    height, so the recurrence takes the next steps' denominators in ahead."""
+    field = draw(GROWING_FIELD)
+    deg, b, size = field.degree, draw(st.sampled_from([2, 3, 61])), draw(st.integers(1, 6))
+    coords = draw(st.lists(st.integers(-9, 9), min_size=size * deg, max_size=size * deg))
+    coords[0] = draw(st.integers(1, 9) | st.integers(-9, -1))
+    values = [Fraction(x, b ** (i // deg)) for i, x in enumerate(coords)]
+    if field.conductor is not None:
+        values = [CyclotomicElement(field.conductor, values[i : i + deg]) for i in range(0, len(values), deg)]
+    h = draw(lead)
+    return QExpansion(1, h, values, h + size + draw(st.integers(0, 40)), field)
+
+
 RUNS = settings(max_examples=60, deadline=None)
 
 
@@ -94,13 +118,15 @@ def test_mul(f, g):
 
 
 @RUNS
-@given(series(), series(), st.none() | st.integers(-4, 30))
-def test_divide(f, g, target):
+@given(st.tuples(series(), series()) | st.tuples(growing_series(), growing_series()),
+       st.none() | st.integers(-4, 30))
+def test_divide(operands, target):
+    f, g = operands
     assert outcome(QExpansion.divide, f, g, target) == outcome(ref.divide, f, g, target)
 
 
 @RUNS
-@given(series(), st.none() | st.integers(0, 30))
+@given(series() | growing_series(), st.none() | st.integers(0, 30))
 def test_inverse(f, target):
     assert outcome(QExpansion.inverse, f, target) == outcome(ref.inverse, f, target)
 
@@ -122,7 +148,7 @@ ZERO = FIELD.flatmap(lambda field: st.integers(-2, 20).map(lambda p: QExpansion.
 
 
 @RUNS
-@given(series(lead=st.integers(1, 3)) | ZERO, st.integers(1, 40))
+@given(series(lead=st.integers(1, 3)) | ZERO | growing_series(lead=st.integers(1, 3)), st.integers(1, 40))
 def test_exp_from_logderiv(g, target):
     assert outcome(exp_from_logderiv, g, target) == outcome(ref.exp_from_logderiv, g, target)
 
@@ -178,6 +204,14 @@ def test_recurrences_on_newforms(pairs, level):
     assert outcome(QExpansion.theta_logderiv, f0) == outcome(ref.theta_logderiv, f0)
     assert outcome(QExpansion.theta_logderiv, g0) == outcome(ref.theta_logderiv, g0)
     assert outcome(QExpansion.divide, g0, f0) == outcome(ref.divide, g0, f0)
+
+
+@pytest.mark.parametrize("level, pairs", [(11, ((1, 2), (11, 2))), (27, ((3, 2), (9, 2)))])
+def test_exp_of_newforms_at_240_terms(level, pairs):
+    # the benchmark's f0 = exp of 59/61 g0 at its length: 61^k k! denominators
+    # taken in several steps ahead once the running one is tall enough
+    g0 = eta_quotient_expansion(EtaQuotient(pairs, level), 240).scale(Fraction(59, 61))
+    assert outcome(exp_from_logderiv, g0, 240) == outcome(ref.exp_from_logderiv, g0, 240)
 
 
 @pytest.mark.parametrize("conductor, c", [
@@ -246,8 +280,30 @@ def test_recurrence_past_short_operands():
     assert _recurrence([1], 1, [2, 0, 0, -1], 3, 7, RATIONAL) == ([12, 0, 0, 6, 0, 0, 3], 8)
 
 
+@pytest.mark.parametrize("r, rd, g, terms, expected", [
+    # (2 - q)(1 + q/2) / (2 - q): the quotient's denominator stops at 2
+    ([4, 0, -1], 2, [2, -1], 7, ([2, 1, 0, 0, 0, 0, 0], 2)),
+    # 1 / (2 - q): one more 2 in the denominator at every step
+    ([1], 1, [2, -1], 7, ([2 ** (6 - k) for k in range(7)], 2**7)),
+    # 3 / (6 - 3q) = 1 / (2 - q): each step's m = 6 is taken in ahead once d
+    # has room for it, and the 3s that no step used are divided out at the end
+    ([3], 1, [6, -3], 40, ([2 ** (39 - k) for k in range(40)], 2**40)),
+], ids=["stops-growing", "steady", "taken-ahead"])
+def test_recurrence_denominator_in_lowest_terms(r, rd, g, terms, expected):
+    assert _recurrence(r, rd, g, 1, terms, RATIONAL) == expected
+
+
+def test_recurrence_takes_in_the_next_steps_denominators(monkeypatch):
+    # exp(q) = sum q^k / k!: step k needs all of its m = k, so what is taken
+    # in ahead, the next steps' m, is all used and the result needs no gcd
+    monkeypatch.setattr(qseries, "_lowest", lambda nums, den: (nums, den))
+    top = factorial(59)
+    assert _recurrence([1], 1, [1, -1], 1, 60, RATIONAL, True) == ([top // factorial(k) for k in range(60)], top)
+
+
 @settings(max_examples=60, deadline=None)
-@given(sparse_series(lead=st.integers(-2, 2), size=st.integers(1, 10)), st.integers(1, 30), st.booleans())
+@given(sparse_series(lead=st.integers(-2, 2), size=st.integers(1, 10))
+       | growing_series(lead=st.integers(-2, 2)), st.integers(1, 30), st.booleans())
 def test_pow_by_miller(f, n, negative):
     # Miller's recurrence alone, and the power (Miller's recurrence for
     # m < -1), for m = +-1 .. +-30 on sparse and dense bases with leads

@@ -170,14 +170,15 @@ def test_series_canonical_by_construction():
     # element and the integer constructors, every series allocated by the
     # latter, no flag saying a form is reduced, and the running gcd only in
     # the kernels whose result can share a factor with its denominator (theta
-    # f among them) and in the JSON reader, which puts the coordinates over
-    # their lcm as written
+    # f among them, and the recurrence, whose denominator may take in more
+    # than its steps use) and in the JSON reader, which puts the coordinates
+    # over their lcm as written
     assert sorted(callers("_store")) == ["qseries.QExpansion.__init__",
                                          "qseries.QExpansion._from_integers"]
     assert callers("__new__") == ["qseries.QExpansion._from_integers"]
     assert sorted(callers("_lowest")) == ["jsonio.series_from_obj"] + [
         f"qseries.QExpansion.{name}"
-        for name in ("__add__", "__mul__", "theta_logderiv", "truncate")]
+        for name in ("__add__", "__mul__", "theta_logderiv", "truncate")] + ["qseries._recurrence"]
     flagged = [
         f"{path.stem}:{node.lineno}"
         for path in SOURCES
