@@ -354,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", default=None, help="basis data file (default: shipped catalogue)")
 
     p = verb("certify", cmd_certify, "finite-order consistency certificate")
-    p.add_argument("--f", required=True, nargs="+", help="series file(s)")
+    p.add_argument("--f", required=True, nargs="+", action="extend", help="series file(s)")
     p.add_argument("--group", required=True)
     p.add_argument("--prec", type=_integer, required=True)
     p.add_argument("--basis", default=None)

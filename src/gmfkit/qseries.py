@@ -48,28 +48,30 @@ convolves only its operands' nonzero spans; a divisor c q^h, with no term
 past its lead, is a shift and a scale; and exp 0 is 1: so f * 1, f / 1 and
 exp 0 (the f0 = 1 of every decomposition whose g0 is zero) cost one pass.
 Every other quotient is ``divide`` (through it ``inverse`` and
-``theta_logderiv``, theta f / f); it, ``exp_from_logderiv`` and negative
-powers all solve one online recurrence, ``_recurrence``, which keeps its
-unknowns as one list of integers per coordinate over a running denominator
-that, when it grows, takes in the next steps' denominators too (so earlier
-unknowns are rescaled every few steps) and forms each inner sum as
-phi(m)^2 integer dot products.  Each step picks, from counts alone, the
-terms its sum runs over: all of them, or only those where the known
-series is nonzero (a fixed list) or where the unknowns found so far are
-(a growing list), whichever list is shorter than half the dense range
-(``SPARSE_STEP``); a coefficient counts as nonzero when any coordinate is.
-Lacunary series, such as the CM newforms of levels 27, 32 and 36 or the
-Euler product, so pay only for their nonzero terms.  A strategy chooses
-only its list of terms; both operands are gathered from that list, and one
-loop forms every dot product.  J.C.P. Miller's recurrence n a(0) b(n) =
-sum_k ((m + 1) k - n) a(k) b(n - k) for f ** m, m < -1, is a mode whose
-a(k) carry the small weight (m + 1) k - n as they are gathered, so no
-inverse is powered; m > 1 squares and multiplies.  The results that may
-share a factor with their denominator, of ``truncate``, ``+``, ``*``, theta
-f and the recurrence (whose denominator may take in more than its steps use),
-divide it out with one running gcd that stops at 1 (``_lowest``), run from
-the last coordinate, where a denominator built up term by term first shows
-in full; every other result is canonical as computed.
+``theta_logderiv``, theta N / N for the integers N = den f); it,
+``exp_from_logderiv`` (on the integers den - B of 1 - g) and negative powers
+all solve one online recurrence, ``_recurrence``, which every caller but
+``divide`` hands integer series over 1.  It keeps its unknowns as one list
+of integers per coordinate over a running denominator that, when it grows,
+takes in the next steps' denominators too (so earlier unknowns are rescaled
+every few steps) and forms each inner sum as phi(m)^2 integer dot products.
+Each step picks, from counts alone, the terms its sum runs over: all of
+them, or only those where the known series is nonzero (a fixed list) or
+where the unknowns found so far are (a growing list), whichever list is
+shorter than half the dense range (``SPARSE_STEP``); a coefficient counts
+as nonzero when any coordinate is.  Lacunary series, such as the CM
+newforms of levels 27, 32 and 36 or the Euler product, so pay only for
+their nonzero terms.  A strategy chooses only its list of terms; both
+operands are gathered from that list, and one loop forms every dot product.
+J.C.P. Miller's recurrence n a(0) b(n) = sum_k ((m + 1) k - n) a(k)
+b(n - k) for f ** m, m < -1, is a mode whose a(k) carry the small weight
+(m + 1) k - n as they are gathered, so no inverse is powered; m > 1 squares
+and multiplies.  The results that may share a factor with their
+denominator, of ``truncate``, ``+``, ``*`` and the recurrence (whose
+denominator may take in more than its steps use), divide it out with one
+running gcd that stops at 1 (``_lowest``), run from the last coordinate,
+where a denominator built up term by term first shows in full; every other
+result, a series over 1 among them, is canonical as computed.
 """
 
 from __future__ import annotations
@@ -350,9 +352,7 @@ class QExpansion:
         ((m + 1) k - n) a(k) b(n - k) for every integer m.  It is linear in
         b, so it runs from b(0) = 1 and the result is scaled by a(0) ** m."""
         terms, deg = self.relative_precision, self.field.degree
-        nums, den = _recurrence(
-            self.nums[:deg], self.den, self.nums, self.den, terms, self.field, True, m
-        )
+        nums, den = _recurrence(self.nums[:deg], 1, self.nums, 1, terms, self.field, True, m)
         power = self._like(m * self.lead, nums, den, m * self.lead + terms)
         return power.scale(self.coeff(self.lead) ** m)
 
@@ -361,12 +361,13 @@ class QExpansion:
 
     def theta_logderiv(self) -> "QExpansion":
         """theta f / f, theta = q d/dq: for f = q^h (c + ...) the constant h
-        plus a series with positive exponents, whatever the scale c."""
+        plus a series with positive exponents, whatever the scale c: theta N / N
+        for the integers N = den f, over 1 and so canonical as built."""
         if self.is_zero:
             raise DivisionByZeroSeriesError("logarithmic derivative of the zero series")
-        h, deg = self.lead, self.field.degree
-        theta = [(h + i // deg) * x for i, x in enumerate(self.nums)]
-        return self._like(h, *_lowest(theta, self.den), self.precision).divide(self)
+        h, deg, P = self.lead, self.field.degree, self.precision
+        theta = self._like(h, [(h + i // deg) * x for i, x in enumerate(self.nums)], 1, P)
+        return theta.divide(self._like(h, self.nums, 1, P))
 
     # ------------------------------------------------------------------
     # level changes
@@ -496,12 +497,10 @@ def exp_from_logderiv(g: QExpansion, target_precision: int) -> QExpansion:
     field = g.field
     if g.is_zero:  # exp 0 = 1
         return QExpansion.one(g.level, precision, field)
-    # with b(k) the coefficients of g, this is the recurrence for 1 - b, s(n) = n
-    one_minus_b = QExpansion.one(g.level, precision, field) - g
-    one = [1] + [0] * (field.degree - 1)
-    nums, den = _recurrence(
-        one, 1, one_minus_b.nums, one_minus_b.den, precision, field, by_index=True
-    )
+    # with b(k) = B(k) / d the coefficients of g, the recurrence for d - B, s(n) = n
+    r = [g.den] + [0] * (field.degree - 1)
+    one_minus_b = r + [-x for x in g._window(0, precision)[field.degree :]]
+    nums, den = _recurrence(r, 1, one_minus_b, 1, precision, field, by_index=True)
     return g._like(0, nums, den, precision)
 
 
@@ -516,10 +515,10 @@ def first_disagreement(f: QExpansion, g: QExpansion):
 def _lowest(nums, den):
     """(nums, den) with gcd(den, *nums) divided out, found by a running gcd
     that stops at 1: for the results that may share a factor with their
-    denominator (a truncation, a sum, a product, theta f).  The scan runs
-    from the last coordinate: in a series whose denominators grow term by
-    term the full denominator first shows at the tail, so the gcd falls to
-    1 within a few tall steps instead of one tall step per coordinate."""
+    denominator (a truncation, a sum, a product, the recurrence).  The scan
+    runs from the last coordinate: in a series whose denominators grow term
+    by term the full denominator first shows at the tail, so the gcd falls
+    to 1 within a few tall steps instead of one tall step per coordinate."""
     g = den
     for x in reversed(nums):
         if g == 1:
@@ -574,10 +573,10 @@ def _recurrence(r, rd, g, gd, terms, field, by_index=False, power=None):
     with s(k) = max(k, 1) when ``by_index`` and s(k) = 1 otherwise, and
     w(k, j) = k - (m + 1) j for a ``power`` m (J.C.P. Miller's recurrence for
     (g / g[0]) ** m, given by_index and r = g[0]), else 1.
-    r and g are given as integer coordinates over rd and gd and the unknowns
-    returned as integer coordinates over their running denominator d, in
-    lowest terms.  Entries of r and g past their ends are zero; g[0] must
-    be nonzero.
+    r and g are given as integer coordinates over rd and gd, both 1 for every
+    caller but ``divide``, and the unknowns returned as integer coordinates
+    over their running denominator d, in lowest terms.  Entries of r and g
+    past their ends are zero; g[0] must be nonzero.
     """
     deg = field.degree
     if len(g) < terms * deg:  # so that g[k] exists at every step k

@@ -146,8 +146,11 @@ class TestEtaExpand:
         assert obj["level"] == 1  # lattice still reduces to level 1
 
     def test_bad_quotient(self, capsys):
-        code, out = invoke(capsys, "eta-expand", "1^x", "--prec", "5")
-        assert code == 2 and json.loads(out)["error_kind"] == "malformed-input"
+        for spec, message in [("1^x", "bad eta quotient token '1^x'"),
+                              ("", "empty eta quotient expression"),
+                              ("0^2", "divisor must be positive, got 0")]:
+            code, out = invoke(capsys, "eta-expand", spec, "--prec", "5")
+            assert code == 2 and json.loads(out) == {"error_kind": "malformed-input", "message": message}
 
 
 class TestSeriesVerbs:
@@ -358,6 +361,13 @@ class TestDecomposeVerify:
         )
         assert obj["basis_coords"] == ["3"]
         assert all(c["passed"] is not False for c in obj["checks"])
+        # a prefix file may wrap its array as {"prefix": [...]}, to the same bytes
+        wrapped_path = tmp_path / "wrapped.json"
+        wrapped_path.write_text(json.dumps({"prefix": ["1", "-2"]}))
+        bare, wrapped = [invoke(capsys, "decompose", "--f", str(basis_form_path), "--prefix", str(path),
+                                "--group", "gamma0:11", "--prec", "60")
+                         for path in (prefix_path, wrapped_path)]
+        assert bare[0] == 0 and wrapped == bare
 
         dec_path = tmp_path / "dec.json"
         dec_path.write_text(json.dumps(obj))
@@ -537,6 +547,18 @@ class TestCertify:
         )
         assert len(results) == 2
         assert all(r["certificate"]["verdict"] == "finite-order-consistent" for r in results)
+
+    def test_repeated_f_keeps_every_file(self, capsys, tmp_path, f11_path):
+        # --f a --f b is --f a b, not b alone
+        other = tmp_path / "g.json"
+        other.write_text(json.dumps(jsonio.series_to_obj(
+            eta_quotient_expansion(EtaQuotient(((1, 2), (11, 2)), 11), 70)
+        )))
+        options = ["--group", "gamma0:11", "--prec", "3"]
+        listed = invoke_json(capsys, "certify", "--f", f11_path, str(other), *options)
+        repeated = invoke_json(capsys, "certify", "--f", f11_path, "--f", str(other), *options)
+        assert [r["input"] for r in repeated] == [f11_path, str(other)]
+        assert repeated == listed
 
     def test_jobs_capped_at_file_count(self, capsys, monkeypatch, f11_path):
         import concurrent.futures
@@ -785,6 +807,16 @@ class TestInputShapes:
                                     "field": {"kind": "rational"}, "coeffs": coeffs}))
         self.refused(capsys, ["mul", "--f", str(path), "--g", str(path)], "malformed-input",
                      "series coeffs must be a JSON array")
+
+    @pytest.mark.parametrize("spoil, message", [
+        ({"precision": 5, "coeffs": ["1", "2"]}, "2 coefficients do not fill the window [0, 5)"),
+        ({"field": {"kind": "padic"}}, "unknown field kind 'padic'"),
+    ], ids=["short-coeffs", "unknown-field-kind"])
+    def test_series_refused(self, capsys, tmp_path, spoil, message):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(dict({"level": 1, "lead": 0, "precision": 2,
+                                         "field": {"kind": "rational"}, "coeffs": ["1", "2"]}, **spoil)))
+        self.refused(capsys, ["mul", "--f", str(path), "--g", str(path)], "malformed-input", message)
 
     def test_basis_coords_not_an_array(self, capsys, tmp_path, f_dec_basis):
         f_path, _, dec, _ = f_dec_basis

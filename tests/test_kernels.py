@@ -138,7 +138,7 @@ def test_pow(f, m):
 
 
 @RUNS
-@given(series())
+@given(series() | growing_series())  # b^k denominators: theta f may share a factor with den
 def test_theta_logderiv(f):
     assert outcome(QExpansion.theta_logderiv, f) == outcome(ref.theta_logderiv, f)
 
@@ -209,9 +209,13 @@ def test_recurrences_on_newforms(pairs, level):
 @pytest.mark.parametrize("level, pairs", [(11, ((1, 2), (11, 2))), (27, ((3, 2), (9, 2)))])
 def test_exp_of_newforms_at_240_terms(level, pairs):
     # the benchmark's f0 = exp of 59/61 g0 at its length: 61^k k! denominators
-    # taken in several steps ahead once the running one is tall enough
+    # taken in several steps ahead once the running one is tall enough; its
+    # theta f0 shares a small factor with den f0, and theta f0 / f0 is g0
     g0 = eta_quotient_expansion(EtaQuotient(pairs, level), 240).scale(Fraction(59, 61))
-    assert outcome(exp_from_logderiv, g0, 240) == outcome(ref.exp_from_logderiv, g0, 240)
+    f0 = outcome(exp_from_logderiv, g0, 240)
+    assert f0 == outcome(ref.exp_from_logderiv, g0, 240)
+    assert gcd(f0.den, *(k * x for k, x in enumerate(f0.nums))) > 1
+    assert outcome(QExpansion.theta_logderiv, f0) == g0
 
 
 @pytest.mark.parametrize("conductor, c", [

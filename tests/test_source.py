@@ -2,6 +2,8 @@
 
 import argparse
 import ast
+import importlib
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -169,16 +171,16 @@ def test_series_canonical_by_construction():
     # a series is in lowest terms as it is built: one initializer behind the
     # element and the integer constructors, every series allocated by the
     # latter, no flag saying a form is reduced, and the running gcd only in
-    # the kernels whose result can share a factor with its denominator (theta
-    # f among them, and the recurrence, whose denominator may take in more
-    # than its steps use) and in the JSON reader, which puts the coordinates
-    # over their lcm as written
+    # the kernels whose result can share a factor with its denominator (the
+    # recurrence among them, whose denominator may take in more than its steps
+    # use) and in the JSON reader, which puts the coordinates over their lcm as
+    # written; theta f / f is theta N / N on the integers N = den f, over 1
     assert sorted(callers("_store")) == ["qseries.QExpansion.__init__",
                                          "qseries.QExpansion._from_integers"]
     assert callers("__new__") == ["qseries.QExpansion._from_integers"]
     assert sorted(callers("_lowest")) == ["jsonio.series_from_obj"] + [
         f"qseries.QExpansion.{name}"
-        for name in ("__add__", "__mul__", "theta_logderiv", "truncate")] + ["qseries._recurrence"]
+        for name in ("__add__", "__mul__", "truncate")] + ["qseries._recurrence"]
     flagged = [
         f"{path.stem}:{node.lineno}"
         for path in SOURCES
@@ -230,10 +232,18 @@ def module_function(module, name):
 def test_one_product_and_one_quotient():
     # every series product, a scaling included, is the one convolution in
     # __mul__, and the online recurrence runs for a quotient (divide, and
-    # through it inverse and theta f / f), an exponential and Miller's power
+    # through it inverse and theta f / f), an exponential and Miller's power;
+    # every caller but divide hands it integer series over 1
     assert callers("_convolved") == ["qseries.QExpansion.__mul__"]
     assert sorted(callers("_recurrence")) == [
         "qseries.QExpansion._miller", "qseries.QExpansion.divide", "qseries.exp_from_logderiv"]
+    tree = ast.parse((Path(gmfkit.__file__).parent / "qseries.py").read_text(encoding="utf-8"))
+    over = {(function.name, ast.unparse(call.args[1]), ast.unparse(call.args[3]))
+            for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+            for call in ast.walk(function)
+            if isinstance(call, ast.Call) and ast.unparse(call.func) == "_recurrence"}
+    assert over == {("_miller", "1", "1"), ("divide", "self.den", "other.den"),
+                    ("exp_from_logderiv", "1", "1")}
 
 
 def test_recurrence_sums_in_one_loop():
@@ -296,3 +306,34 @@ def test_genus_zero_read_from_the_coset_table():
     assert tables == ["_GENUS_ONE_ETA"]
     called = {ast.unparse(node.func) for node in ast.walk(function) if isinstance(node, ast.Call)}
     assert "invariants" in called
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# `module.NAME` = value, the value a number written 100, 100,000 or 2^21, or
+# another such constant; a line wrap may fall anywhere in between
+QUOTED = re.compile(r"`(\w+)\.([A-Z][A-Z0-9_]*)`\s*=\s*(?:`(\w+)\.([A-Z][A-Z0-9_]*)`"
+                    r"|([0-9]{1,3}(?:,[0-9]{3})+|[0-9]+)(?:\^([0-9]+))?)")
+
+
+def readme_quotes(text):
+    """(module.NAME, quoted value, value in the module) of every constant
+    the README quotes with its value."""
+    found = []
+    for module, name, other_module, other, number, power in QUOTED.findall(text):
+        if other:
+            quoted = getattr(importlib.import_module(f"gmfkit.{other_module}"), other)
+        else:
+            quoted = int(number.replace(",", "")) ** int(power or 1)
+        actual = getattr(importlib.import_module(f"gmfkit.{module}"), name)
+        found.append((f"{module}.{name}", quoted, actual))
+    return found
+
+
+def test_readme_quotes_the_constants_it_names():
+    # every `module.NAME` = value in README.md is that constant's value
+    quotes = readme_quotes(README.read_text(encoding="utf-8"))
+    assert {name for name, _, _ in quotes} == {
+        "numberfield.MAX_CONDUCTOR", "qseries.MAX_TERMS", "qseries.MAX_POWER_BITS",
+        "subgroup.MAX_INDEX", "etaforms.MAX_ETA_EXPONENT_SUM", "jsonio.MAX_RATIONAL_DIGITS",
+        "etaforms.MAX_ETA_PRECISION"}
+    assert [q for q in quotes if q[1] != q[2]] == []
