@@ -466,7 +466,7 @@ class FieldTag:
 
     def __post_init__(self):
         m = self.conductor
-        if m is not None and m < 1:
+        if m is not None and (type(m) is not int or m < 1):  # nor a bool
             raise ValueError("conductor must be a positive integer")
         if m is not None and m > MAX_CONDUCTOR:
             raise MalformedInputError(f"conductor {m} exceeds the cap of {MAX_CONDUCTOR}")

@@ -138,7 +138,7 @@ class QExpansion:
         """Set the series whose coordinates from exponent lead on are
         ``nums`` over ``den``, padded with zeros to the window lead ..
         precision-1, its leading zeros stripped."""
-        if not isinstance(level, int) or level < 1:
+        if type(level) is not int or level < 1:  # nor a bool
             raise BadLevelError(f"level must be a positive integer, got {level!r}")
         deg = field.degree
         pad = (precision - lead) * deg - len(nums)

@@ -9,12 +9,14 @@ T-images the search computes anyway), the elliptic points (the cosets
 fixed by S and by S T, from the S- and T-images) and so the genus, and
 representative extraction.
 
-Each coset is named by one integer, a canonical key of g mod N (every
-kind contains Gamma(N), so the right coset of g depends only on g mod N),
-from a key function chosen once per table by the group's kind.  The BFS
-keys each neighbour g S, g T from the entries of g and builds a
-representative (an immutable ``IntegerMatrix`` with exact integer
-entries) only for a coset not seen before.  Groups of index above
+Gamma_0(N) and Gamma_1(N) name each coset by one integer, a canonical key
+of g mod N (both contain Gamma(N), so the right coset of g depends only
+on g mod N), from a key function chosen once per table by the kind.
+Gamma(N) is normal of index N in P Gamma_1(N), the union of the cosets
++-Gamma(N) T^t, t mod N: it names the coset of T^t r_i (r_i a Gamma_1(N)
+representative) i N + t and searches by these ids, with no key.  Either
+search builds a representative (an immutable ``IntegerMatrix`` with exact
+integer entries) only for a coset not seen before.  Groups of index above
 ``MAX_INDEX`` are refused before any search.
 """
 
@@ -44,7 +46,7 @@ class GroupDescriptor:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise BadGroupError(f"unknown group kind {self.kind!r}")
-        if not isinstance(self.level, int) or self.level < 1:
+        if type(self.level) is not int or self.level < 1:  # nor a bool
             raise BadGroupError(f"level must be a positive integer, got {self.level!r}")
 
     @classmethod
@@ -165,31 +167,21 @@ MAX_INDEX = 100_000
 
 def _coset_key(group: GroupDescriptor):
     """The function naming each right coset P Gamma (a b; c d) by one
-    integer, the sign quotiented out.
+    integer, the sign quotiented out, for Gamma_1(N) and Gamma_0(N)
+    (Gamma(N) names its cosets by the Gamma_1(N) coset and an offset).
 
-    Left multiplication by the group fixes, of the matrix mod N: for Gamma(N)
-    the whole residue; for Gamma_1(N) the bottom row (c, d); for
-    Gamma_0(N) the bottom row up to a unit, a point of P^1(Z/N).  For the
-    first two the key reads the residues as base-N digits and takes the
-    lesser number of g and -g, which is the lexicographically least residue
-    tuple: the first residue that differs from its negative (not 0 or N/2)
-    picks the sign.  A point of P^1(Z/N) is packed as g N + d': a unit u
-    takes c to g = gcd(c, N), the units fixing g are the v = 1 mod N/g, and
-    d' is the least d u v over those (g candidates, not phi(N)); g, u and
-    the v depend on c mod N alone, so they are found once per residue.
+    Left multiplication by the group fixes, of the matrix mod N: for
+    Gamma_1(N) the bottom row (c, d); for Gamma_0(N) the bottom row up to a
+    unit, a point of P^1(Z/N).  For the first the key reads (c, d) as
+    base-N digits and takes the lesser number of g and -g, which is the
+    lexicographically least residue pair: c picks the sign unless it is 0
+    or N/2.  A point of P^1(Z/N) is packed as g N + d': a unit u takes c
+    to g = gcd(c, N), the units fixing g are the v = 1 mod N/g, and d' is
+    the least d u v over those (g candidates, not phi(N)); g, u and the v
+    depend on c mod N alone, so they are found once per residue.
     """
     n = group.level
-    if group.kind == GAMMA:
-        def key(a, b, c, d):
-            a %= n
-            if a + a > n:  # -a mod N < a: the digits of -g
-                return (((n - a) * n + -b % n) * n + -c % n) * n + -d % n
-            k = ((a * n + b % n) * n + c % n) * n + d % n
-            if a and a + a < n:
-                return k
-            m = ((a * n + -b % n) * n + -c % n) * n + -d % n  # a = -a mod N
-            return k if k < m else m
-    elif group.kind == GAMMA1:
+    if group.kind == GAMMA1:
         def key(a, b, c, d):
             c %= n
             if c + c > n:
@@ -225,15 +217,31 @@ def _p1_point(c: int, n: int):
 
 
 class CosetTable:
-    """Right-coset data for P Gamma \\ PSL_2(Z), built by BFS over S, T."""
+    """Right-coset data for P Gamma \\ PSL_2(Z), built by BFS over S, T;
+    s_image[i] and t_image[i] are the cosets of reps[i] * S and reps[i] * T."""
 
     def __init__(self, group: GroupDescriptor):
         self.group = group
-        key = _coset_key(group)
-        reps: list[IntegerMatrix] = [IDENTITY]
-        coset_of: dict[int, int] = {key(1, 0, 0, 1): 0}
-        self.reps, self._coset_of = reps, coset_of
-        s_image, t_image = [], []  # s_image[i]: the coset of reps[i] * S; t_image for T
+        self.reps: list[IntegerMatrix] = [IDENTITY]
+        if group.kind == GAMMA:
+            s_image, t_image = self._search_by_offsets(coset_table(GroupDescriptor(GAMMA1, group.level)))
+        else:
+            s_image, t_image = self._search_by_keys(_coset_key(group))
+        self.s_image, self.t_image = s_image, t_image
+        # the elliptic points: the cosets fixed by S (order 2) and by S T (order 3)
+        self.nu2 = sum(i == j for i, j in enumerate(s_image))
+        self.nu3 = sum(t_image[j] == i for i, j in enumerate(s_image))
+        self.cusp_count = start = 0  # the cycles of the right T-action on the cosets
+        seen = bytearray(len(t_image))
+        while (start := seen.find(0, start)) >= 0:  # the first coset not yet seen
+            self.cusp_count += 1
+            i = start
+            while not seen[i]:
+                seen[i], i = 1, t_image[i]  # mark i seen, step to its T-image
+
+    def _search_by_keys(self, key):
+        reps, s_image, t_image = self.reps, [], []
+        self._coset_of = coset_of = {key(1, 0, 0, 1): 0}
         # reps doubles as the BFS queue: the loop reaches each new coset
         # in the order it is appended
         for g in reps:
@@ -248,23 +256,44 @@ class CosetTable:
             if index == new:
                 reps.append(IntegerMatrix(a, a + b, c, c + d))
             t_image.append(index)
-        # the elliptic points: the cosets fixed by S (order 2) and by S T (order 3)
-        self.nu2 = sum(i == j for i, j in enumerate(s_image))
-        self.nu3 = sum(t_image[j] == i for i, j in enumerate(s_image))
-        self.cusp_count = 0  # the cycles of the right T-action on the cosets
-        for start in range(len(t_image)):
-            if t_image[start] >= 0:
-                self.cusp_count += 1
-                i = start
-                while t_image[i] >= 0:
-                    t_image[i], i = -1, t_image[i]  # mark i seen, step to its T-image
+        return s_image, t_image
+
+    def _search_by_offsets(self, base: "CosetTable"):
+        """The keyed search, in its order, over the ids i N + t of the
+        Gamma(N) cosets +-Gamma(N) T^t r_i, r_i = base.reps[i].  For X = S, T
+        r_i X = h r_j, j the X-image of i, with h = +-(1 sigma; 0 1) mod N in
+        +-Gamma_1(N); Gamma(N) is normal, so T^t r_i X is in T^(t + sigma) r_j's coset."""
+        n, reps, base_reps = self.group.level, self.reps, base.reps
+        every = list(range(len(base_reps) * n))  # the ids: one int object each, shared below
+        s_ids, t_ids = [], []  # s_ids[i N + t]: the id of the coset of T^t r_i S; t_ids for T
+        for r, js, jt in zip(base_reps, base.s_image, base.t_image):
+            a, b = r.a, r.b
+            for p, q, j, nids in ((b, -a, js, s_ids), (a, a + b, jt, t_ids)):  # top row of r S, r T
+                e = base_reps[j]  # h = (p q; ..) e^-1: sigma = h12 h11, h11 = +-1 mod N
+                sigma = (q * e.a - p * e.b) * (p * e.d - q * e.c) % n
+                jn = j * n  # t = 0 .. N-1 goes to j N + (t + sigma) % N
+                nids += every[jn + sigma : jn + n] + every[jn : jn + sigma]
+        at = [0] + [-1] * (len(every) - 1)  # at[id]: the coset's place in reps, -1 unseen
+        ids = [0]
+        for g, gid in zip(reps, ids):  # both grow in step as cosets are found
+            nid = s_ids[gid]
+            if at[nid] < 0:  # g * S
+                at[nid] = len(reps)
+                reps.append(IntegerMatrix(g.b, -g.a, g.d, -g.c))
+                ids.append(nid)
+            nid = t_ids[gid]
+            if at[nid] < 0:  # g * T
+                at[nid] = len(reps)
+                reps.append(IntegerMatrix(g.a, g.a + g.b, g.c, g.c + g.d))
+                ids.append(nid)
+        return [at[s_ids[gid]] for gid in ids], [at[t_ids[gid]] for gid in ids]
 
     def __len__(self):
         return len(self.reps)
 
 
 _TABLE_CACHE: dict[GroupDescriptor, CosetTable] = {}
-_TABLE_LOCK = threading.Lock()
+_TABLE_LOCK = threading.RLock()  # a Gamma(N) build fetches Gamma_1(N)'s table
 
 
 def coset_table(group: GroupDescriptor) -> CosetTable:
@@ -282,8 +311,7 @@ def coset_table(group: GroupDescriptor) -> CosetTable:
     with _TABLE_LOCK:
         table = _TABLE_CACHE.get(group)
         if table is None:
-            table = CosetTable(group)
-            _TABLE_CACHE[group] = table
+            table = _TABLE_CACHE[group] = CosetTable(group)
     return table
 
 

@@ -901,6 +901,24 @@ class TestPinnedOutput:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[level, verb]
 
+    # SHA-256 of the stdout of cosets, kappa and cusps for two Gamma(N) past
+    # the level-24 sweep of the subgroup-invariants hash, recorded before
+    # Gamma(N) cosets were named by (Gamma_1(N) coset, offset) ids
+    PINNED_GAMMA = {
+        ("gamma:30", "cosets"): "55fda88fc4d0f676f33c2585d54baa2eb307420d6e4fd101a1498a228f42240d",
+        ("gamma:30", "kappa"): "5bf8ced4d45f4be7ce56bf0b6b91295345a41614fc9a06d53b75991ace5e83fb",
+        ("gamma:30", "cusps"): "9a1515b72778f7c96d2758fd2d02e77360d901dbb5ba8b64b21e308ba82d8304",
+        ("gamma:46", "cosets"): "efffc50905263aa35f6a32788d657c9e2029efd116f1c56f1b6bce0a24bad95f",
+        ("gamma:46", "kappa"): "92ed326bc873bc6ed02c4e6783a780af001f9deaed133cd4895016db81cc1d76",
+        ("gamma:46", "cusps"): "6eda33adff2b7cd0b7e9d19dad47960ab4e0b41b148e9edb408a112cb26b6953",
+    }
+
+    @pytest.mark.parametrize("group, verb", sorted(PINNED_GAMMA))
+    def test_gamma_stdout_hash(self, capsys, group, verb):
+        code, out = invoke(capsys, verb, group)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_GAMMA[group, verb]
+
     # SHA-256 of certify's stdout on the level-11 f above for groups of genus
     # zero, where g0 = 0, f0 = 1 and f1 = f, recorded before a monomial
     # divisor and the exponential of zero skipped the recurrence.  The

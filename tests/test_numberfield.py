@@ -267,6 +267,13 @@ def test_conductor_cap():
             FieldTag.cyclotomic(m)
 
 
+@pytest.mark.parametrize("bad", [True, False, 2.0, "5", 0, -3])
+def test_conductor_is_a_positive_int(bad):
+    # a bool is an int subclass: Q(zeta_True) is refused, not printed
+    with pytest.raises(ValueError, match="conductor must be a positive integer"):
+        FieldTag(bad)
+
+
 def test_rational_valued_element_hashes_as_its_rational():
     assert CyclotomicElement(4, [3]) == F(3)
     assert hash(CyclotomicElement(4, [3])) == hash(F(3)) == hash(3)

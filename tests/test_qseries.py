@@ -251,6 +251,13 @@ class TestLevelChanges:
         with pytest.raises(BadLevelError):
             QExpansion.one(4, 3).rescale_level(6)
 
+    @pytest.mark.parametrize("bad", [True, False, 2.0, "3", 0])
+    def test_level_is_a_positive_int(self, bad):
+        # a bool is an int subclass; a series of level True would be written
+        # to JSON as "level": true, which the reader refuses
+        with pytest.raises(BadLevelError, match="level must be a positive integer"):
+            QExpansion(bad, 0, [1, 2], 2)
+
     def test_substitute_power(self, qs):
         s = qs(1, [1, 2, 3], 4).substitute_power(3)
         assert s.lead == 3 and s.coeff(6) == 2 and s.coeff(5) == 0 and s.precision == 12

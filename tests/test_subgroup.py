@@ -2,6 +2,9 @@ import copy
 import json
 import math
 import pickle
+import sys
+import threading
+import time
 import tracemalloc
 
 import pytest
@@ -125,6 +128,12 @@ class TestDescriptor:
         with pytest.raises(BadGroupError, match="expected kind:level"):
             GroupDescriptor.parse(bad)
 
+    @pytest.mark.parametrize("bad", [True, False, 11.0, "11", 0])
+    def test_level_is_a_positive_int(self, bad):
+        # a bool is an int subclass: gamma0:True is refused, not printed
+        with pytest.raises(BadGroupError, match="level must be a positive integer"):
+            GroupDescriptor(GAMMA0, bad)
+
     def test_minus_identity(self):
         assert contains_minus_identity(GroupDescriptor(GAMMA0, 37))
         assert contains_minus_identity(GroupDescriptor(GAMMA, 2))
@@ -221,7 +230,8 @@ class TestCosetEnumeration:
 
     @pytest.mark.parametrize(
         "group",
-        [GroupDescriptor(GAMMA0, 11), GroupDescriptor(GAMMA1, 5), GroupDescriptor(GAMMA, 3)],
+        [GroupDescriptor(GAMMA0, 11), GroupDescriptor(GAMMA1, 5), GroupDescriptor(GAMMA, 3)]
+        + [GroupDescriptor(kind, n) for kind in (GAMMA0, GAMMA1, GAMMA) for n in range(1, 7)],
     )
     def test_reps_pairwise_inequivalent(self, group):
         reps = coset_reps(group)
@@ -399,9 +409,12 @@ def word_product(word):
     return mat
 
 
+KEYED_GROUPS = [group for group in WORD_GROUPS if group.kind != GAMMA]
+
+
 class TestCosetKeys:
     @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from(WORD_GROUPS), WORDS, WORDS, WORDS, st.booleans())
+    @given(st.sampled_from(KEYED_GROUPS), WORDS, WORDS, WORDS, st.booleans())
     def test_same_coset_iff_projective_member(self, group, g_word, h_word, w_word, conjugate):
         g = word_product(g_word)
         if conjugate:
@@ -419,15 +432,48 @@ class TestCosetKeys:
     @pytest.mark.parametrize("group", WORD_GROUPS)
     def test_table_holds_one_key_per_coset(self, group):
         table = CosetTable(group)
-        assert len(table._coset_of) == len(table.reps) == p_index(group)
+        if group.kind != GAMMA:
+            assert len(table._coset_of) == len(table.reps) == p_index(group)
+        else:
+            # no key and no dict: a coset's id is its Gamma_1(N) coset and an offset mod N
+            base = coset_table(GroupDescriptor(GAMMA1, group.level))
+            assert not hasattr(table, "_coset_of")
+            assert len(table.reps) == len(base) * group.level == p_index(group)
+
+    @pytest.mark.parametrize("group", WORD_GROUPS)
+    def test_images_are_the_cosets_of_rep_times_generator(self, group):
+        # read from the table alone: reps[i] X lies in the coset of reps[X(i)]
+        table = coset_table(group)
+        reps = table.reps
+        for gen, images in ((GEN_S, table.s_image), (GEN_T, table.t_image)):
+            assert len(images) == len(reps) == p_index(group)
+            for rep, j in zip(reps, images):
+                assert is_member(rep * gen * reps[j].inverse(), group, projective=True)
 
     @pytest.mark.parametrize(
         "group",
         [GroupDescriptor(GAMMA0, 30), GroupDescriptor(GAMMA1, 8), GroupDescriptor(GAMMA, 5)],
     )
     def test_builds_one_matrix_per_new_coset(self, monkeypatch, group):
-        # the search keys each neighbour from its entries; only a coset it
-        # keeps gets a matrix (the identity, reps[0], exists already)
+        # the search names each neighbour without a matrix; only a coset it
+        # keeps gets one (the identity, reps[0], exists already)
+        if group.kind == GAMMA:
+            coset_table(GroupDescriptor(GAMMA1, group.level))  # its base, built before the count
+        built = self.count_matrices(monkeypatch)
+        table = CosetTable(group)
+        assert len(built) == len(table) - 1 == p_index(group) - 1
+
+    def test_cold_gamma_build_builds_its_base_once(self, monkeypatch):
+        monkeypatch.setattr(subgroup, "_TABLE_CACHE", {})
+        built = self.count_matrices(monkeypatch)
+        gamma, base = GroupDescriptor(GAMMA, 7), GroupDescriptor(GAMMA1, 7)
+        table = coset_table(gamma)
+        assert len(built) == (p_index(base) - 1) + (p_index(gamma) - 1)
+        assert subgroup._TABLE_CACHE == {base: coset_table(base), gamma: table}
+
+    @staticmethod
+    def count_matrices(monkeypatch):
+        """The entries of every IntegerMatrix built from here on."""
         built = []
         init = IntegerMatrix.__init__
 
@@ -436,8 +482,44 @@ class TestCosetKeys:
             init(self, *entries)
 
         monkeypatch.setattr(IntegerMatrix, "__init__", counting_init)
-        table = CosetTable(group)
-        assert len(built) == len(table) - 1 == p_index(group) - 1
+        return built
+
+    def test_first_builds_from_threads(self, monkeypatch):
+        # a Gamma(N) build fetches Gamma_1(N)'s table under the same lock
+        groups = [GroupDescriptor(GAMMA, 12), GroupDescriptor(GAMMA1, 12), GroupDescriptor(GAMMA, 24)]
+        monkeypatch.setattr(subgroup, "_TABLE_CACHE", {})
+        # a fresh lock of the same kind, so that a deadlock here cannot hang later tests
+        rlock = isinstance(subgroup._TABLE_LOCK, type(threading.RLock()))
+        monkeypatch.setattr(subgroup, "_TABLE_LOCK", threading.RLock() if rlock else threading.Lock())
+        per_group = 4
+        start = threading.Barrier(per_group * len(groups))
+        got = [[] for _ in groups]
+
+        def build(k):
+            start.wait(timeout=30)
+            got[k].append(coset_table(groups[k]))
+
+        threads = [threading.Thread(target=build, args=(k,), daemon=True)
+                   for _ in range(per_group) for k in range(len(groups))]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 20
+            for thread in threads:
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads), "a first build deadlocked"
+        threaded = dict(subgroup._TABLE_CACHE)
+        monkeypatch.setattr(subgroup, "_TABLE_CACHE", {})
+        for group, tables in zip(groups, got):
+            assert len(tables) == per_group
+            assert all(table is threaded[group] for table in tables)  # one table per group
+            serial = coset_table(group)
+            assert (tables[0].reps, tables[0].s_image, tables[0].t_image) == (
+                serial.reps, serial.s_image, serial.t_image)
 
     def test_gamma0_2000_matches_closed_formulas(self):
         group = GroupDescriptor(GAMMA0, 2000)
@@ -461,12 +543,14 @@ class TestCosetKeys:
         assert size == 720
         assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
-    def test_table_memory_per_coset(self):
-        # one integer key and one slotted matrix per coset: 0.88 MB, where
-        # 4-tuple keys and dataclass matrices took 1.36 MB
+    def test_table_memory_per_coset(self, monkeypatch):
+        # one slotted matrix and one id slot per coset, Gamma_1(24)'s table
+        # built inside: 0.93 MB, where keyed residues took 0.88 MB with no
+        # base and 4-tuple keys and dataclass matrices took 1.36 MB
+        monkeypatch.setattr(subgroup, "_TABLE_CACHE", {})
         size, peak = self.build_peak(GroupDescriptor(GAMMA, 24))
         assert size == 4608
-        assert peak < 1.1 * 2**20, f"peak {peak / 2**20:.2f} MB"
+        assert peak < 1.0 * 2**20, f"peak {peak / 2**20:.2f} MB"
 
     def test_index_cap(self, capsys):
         group = GroupDescriptor(GAMMA, 200)
