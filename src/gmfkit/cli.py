@@ -235,14 +235,23 @@ def cmd_certify(args):
     if len(args.f) == 1:
         return _certify_one(args.f[0], **options)
     certify = functools.partial(_certify_entry, **options)
-    # workers beyond the file count would only sit idle
-    jobs = min(max(args.jobs, 1), len(args.f))
+    # workers beyond the file count or the CPUs this process may use would
+    # only sit idle, and a fork pool starts all of them at once
+    jobs = min(max(args.jobs, 1), len(args.f), _usable_cpus())
     if jobs == 1:
         return [certify(path) for path in args.f]
     import concurrent.futures
 
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(certify, args.f))
+
+
+def _usable_cpus():
+    """The CPUs this process may run on (its affinity mask, where the
+    platform has one), at least 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def cmd_verify(args):

@@ -50,11 +50,12 @@ exp 0 (the f0 = 1 of every decomposition whose g0 is zero) cost one pass.
 Every other quotient is ``divide`` (through it ``inverse`` and
 ``theta_logderiv``, theta N / N for the integers N = den f); it,
 ``exp_from_logderiv`` (on the integers den - B of 1 - g) and negative powers
-all solve one online recurrence, ``_recurrence``, which every caller but
-``divide`` hands integer series over 1.  It keeps its unknowns as one list
-of integers per coordinate over a running denominator that, when it grows,
-takes in the next steps' denominators too (so earlier unknowns are rescaled
-every few steps) and forms each inner sum as phi(m)^2 integer dot products.
+all solve one online recurrence, ``_recurrence``, on integer series over 1
+from every caller (``divide`` applies up and down, den g and den f over their
+gcd, outside it, as ``*`` applies den f den g).  It keeps its unknowns as one
+list of integers per coordinate over a running denominator that, when it
+grows, takes in the next steps' denominators too (so earlier unknowns are
+rescaled every few steps) and sums each step by phi(m)^2 integer dot products.
 Each step picks, from counts alone, the terms its sum runs over: all of
 them, or only those where the known series is nonzero (a fixed list) or
 where the unknowns found so far are (a growing list), whichever list is
@@ -67,11 +68,11 @@ J.C.P. Miller's recurrence n a(0) b(n) = sum_k ((m + 1) k - n) a(k)
 b(n - k) for f ** m, m < -1, is a mode whose a(k) carry the small weight
 (m + 1) k - n as they are gathered, so no inverse is powered; m > 1 squares
 and multiplies.  The results that may share a factor with their
-denominator, of ``truncate``, ``+``, ``*`` and the recurrence (whose
-denominator may take in more than its steps use), divide it out with one
-running gcd that stops at 1 (``_lowest``), run from the last coordinate,
-where a denominator built up term by term first shows in full; every other
-result, a series over 1 among them, is canonical as computed.
+denominator (of ``truncate``, ``+``, ``*``, ``divide`` and the recurrence,
+whose d may take in more than its steps use) divide it out with one running
+gcd that stops at 1 (``_lowest``), from the last coordinate, where a
+denominator built up term by term first shows in full; every other result,
+a series over 1 among them, is canonical as computed.
 """
 
 from __future__ import annotations
@@ -92,8 +93,10 @@ from .numberfield import RATIONAL, FieldTag, _convolve, _galois, _integer_form, 
 from .numberfield import _power, _times
 
 # Cap on the exponent window a spread (rescale_level, substitute_power) may
-# allocate, and on what an eta expansion may be asked for (etaforms).  It
-# lies far above every shipped or documented use (24 * 500 exponents).
+# allocate, on what an eta expansion may be asked for (etaforms), and on the
+# windows that only a declared precision bounds (f ** 0 of a zero f, and
+# exp_from_logderiv's).  It lies far above every shipped or documented use
+# (24 * 500 exponents).
 MAX_TERMS = 100_000
 
 # Cap on the estimated bit height of the coefficients of a power f ** m,
@@ -320,18 +323,20 @@ class QExpansion:
         if not any(other.nums[deg:]):  # other = c q^h + O(q^P): no term past its lead
             c = other.coeff(other.lead)
             return self.shift(-other.lead).truncate(precision).scale(1 / c)
-        size = (precision - lead) * deg
-        nums, den = _recurrence(
-            self.nums[:size], self.den, other.nums[:size], other.den, precision - lead, self.field
-        )
-        return self._like(lead, nums, den, precision)
+        # (R / rd) / (G / gd) = (R up / G) / down, applied outside as in __mul__
+        size, t = (precision - lead) * deg, gcd(self.den, other.den)
+        up, down = other.den // t, self.den // t
+        r = self.nums[:size] if up == 1 else [x * up for x in self.nums[:size]]
+        nums, d = _recurrence(r, other.nums[:size], precision - lead, self.field)
+        nums, down = _lowest(nums, down)  # gcd(d down, *nums) = gcd(down, *nums): d is lowest
+        return self._like(lead, nums, d * down, precision)
 
     def __pow__(self, m):
         if not isinstance(m, int):
             return NotImplemented
         if m == 0:
-            if self.is_zero:
-                return QExpansion.one(self.level, max(self.precision, 1), self.field)
+            if self.is_zero:  # 1 + O(q^P): only the declared precision bounds it
+                return QExpansion.one(self.level, _capped(max(self.precision, 1)), self.field)
             return QExpansion.one(self.level, self.relative_precision, self.field)
         base, n = (self.inverse(), -m) if m < 0 else (self, m)
         # each integer coordinate of base ** n over den ** n is at most
@@ -352,7 +357,7 @@ class QExpansion:
         ((m + 1) k - n) a(k) b(n - k) for every integer m.  It is linear in
         b, so it runs from b(0) = 1 and the result is scaled by a(0) ** m."""
         terms, deg = self.relative_precision, self.field.degree
-        nums, den = _recurrence(self.nums[:deg], 1, self.nums, 1, terms, self.field, True, m)
+        nums, den = _recurrence(self.nums[:deg], self.nums, terms, self.field, True, m)
         power = self._like(m * self.lead, nums, den, m * self.lead + terms)
         return power.scale(self.coeff(self.lead) ** m)
 
@@ -374,7 +379,7 @@ class QExpansion:
 
     def rescale_level(self, new_level: int) -> "QExpansion":
         """Re-express at a finer level: q_N = q_L^(L/N), exponents scale by L/N."""
-        if new_level < 1:
+        if type(new_level) is not int or new_level < 1:  # nor a bool
             raise BadLevelError(f"level must be a positive integer, got {new_level!r}")
         if new_level % self.level != 0:
             raise BadLevelError(f"{new_level} is not a multiple of level {self.level}")
@@ -382,7 +387,7 @@ class QExpansion:
 
     def substitute_power(self, d: int) -> "QExpansion":
         """Replace q by q^d at the same level (z -> d z on expansions)."""
-        if d < 1:
+        if type(d) is not int or d < 1:  # nor a bool
             raise ValueError("substitution exponent must be positive")
         return self._spread(d, self.level)
 
@@ -494,14 +499,23 @@ def exp_from_logderiv(g: QExpansion, target_precision: int) -> QExpansion:
     precision = min(target_precision, g.precision)
     if precision < 1:
         raise PrecisionError("target precision leaves no coefficients determined")
+    _capped(precision)  # the window 0 .. precision - 1, whatever g's lead
     field = g.field
     if g.is_zero:  # exp 0 = 1
         return QExpansion.one(g.level, precision, field)
     # with b(k) = B(k) / d the coefficients of g, the recurrence for d - B, s(n) = n
     r = [g.den] + [0] * (field.degree - 1)
     one_minus_b = r + [-x for x in g._window(0, precision)[field.degree :]]
-    nums, den = _recurrence(r, 1, one_minus_b, 1, precision, field, by_index=True)
+    nums, den = _recurrence(r, one_minus_b, precision, field, by_index=True)
     return g._like(0, nums, den, precision)
+
+
+def _capped(terms):
+    """``terms``, the size of a window that only a declared precision bounds,
+    refused past MAX_TERMS before anything is allocated."""
+    if terms > MAX_TERMS:
+        raise PrecisionError(f"a window of {terms} terms exceeds the cap of {MAX_TERMS}")
+    return terms
 
 
 def first_disagreement(f: QExpansion, g: QExpansion):
@@ -515,10 +529,10 @@ def first_disagreement(f: QExpansion, g: QExpansion):
 def _lowest(nums, den):
     """(nums, den) with gcd(den, *nums) divided out, found by a running gcd
     that stops at 1: for the results that may share a factor with their
-    denominator (a truncation, a sum, a product, the recurrence).  The scan
-    runs from the last coordinate: in a series whose denominators grow term
-    by term the full denominator first shows at the tail, so the gcd falls
-    to 1 within a few tall steps instead of one tall step per coordinate."""
+    denominator (a truncation, sum, product or quotient, the recurrence).  The
+    scan runs from the last coordinate: in a series whose denominators grow
+    term by term the full denominator first shows at the tail, so the gcd
+    falls to 1 within a few tall steps instead of one tall step per coordinate."""
     g = den
     for x in reversed(nums):
         if g == 1:
@@ -565,7 +579,7 @@ def _strided(nums, deg, stride):
 # the recurrence kernel (see the module docstring)
 
 
-def _recurrence(r, rd, g, gd, terms, field, by_index=False, power=None):
+def _recurrence(r, g, terms, field, by_index=False, power=None):
     """(nums, d): x[0 .. terms-1] of the online recurrence
 
         x[k] = (r[k] - sum_{j>=1} w(k, j) g[j] x[k-j]) / (g[0] s(k)),
@@ -573,23 +587,21 @@ def _recurrence(r, rd, g, gd, terms, field, by_index=False, power=None):
     with s(k) = max(k, 1) when ``by_index`` and s(k) = 1 otherwise, and
     w(k, j) = k - (m + 1) j for a ``power`` m (J.C.P. Miller's recurrence for
     (g / g[0]) ** m, given by_index and r = g[0]), else 1.
-    r and g are given as integer coordinates over rd and gd, both 1 for every
-    caller but ``divide``, and the unknowns returned as integer coordinates
-    over their running denominator d, in lowest terms.  Entries of r and g
-    past their ends are zero; g[0] must be nonzero.
+    r and g are integer coordinates, series over 1, from every caller (``divide``
+    applies its operands' denominators outside, as ``__mul__`` does), and the
+    unknowns are returned as integer coordinates over their running denominator
+    d, in lowest terms.  Entries of r and g past their ends are zero; g[0] != 0.
     """
     deg = field.degree
     if len(g) < terms * deg:  # so that g[k] exists at every step k
         g = g + [0] * (terms * deg - len(g))
-    t = gcd(gd, rd)
-    gd, rd = gd // t, rd // t
-    # 1 / g[0] = gd unit / c; a rational g[0] is c / gd and needs no unit
+    # 1 / g[0] = unit / c; a rational g[0] is c and needs no unit
     unit, c = (None, g[0]) if not any(g[1:deg]) else _inverse_coords(g[:deg], field.conductor)
-    # x[k] = v / (rd c s(k) d) with x[i] = X[i] / d, coordinate b of X[i]
-    # xcols[b][i], and v = (gd d r[k] - rd sum_{j>=1} w(k, j) g[j] X[k-j]) unit,
+    # x[k] = v / (c s(k) d) with x[i] = X[i] / d, coordinate b of X[i]
+    # xcols[b][i], and v = (d r[k] - sum_{j>=1} w(k, j) g[j] X[k-j]) unit,
     # the sum taken as one dot product per pair of coordinates (a of g, b of
     # X) into the slot a + b of a polynomial in zeta
-    width, rc = 2 * deg - 1, rd * c
+    width = 2 * deg - 1
     # the indices j >= 1 of the nonzero g[j], each coordinate a of g
     # (cols[a]), and the pairs whose a is nonzero at some j >= 1
     gnz = _nonzero(g, deg)[1:]
@@ -620,21 +632,20 @@ def _recurrence(r, rd, g, gd, terms, field, by_index=False, power=None):
         for a, b in pairs:
             sums[a + b] += sum(map(mul, xs[b], gvs[a]))
         rk = r[k * deg : (k + 1) * deg] or zeros
-        gdd = gd * d
-        v = [gdd * u - rd * w for u, w in zip(rk, field.reduce(sums))]
+        v = [d * u - w for u, w in zip(rk, field.reduce(sums))]
         if unit is not None:
             v = _times(v, unit, field.conductor)
-        # with t = gcd(m, *v), m = rc s(k), x[k] = (v / t) / (d m / t), and
+        # with t = gcd(m, *v), m = c s(k), x[k] = (v / t) / (d m / t), and
         # d m / t is the lcm of d and the reduced denominator of x[k]: a
         # prime p gains max(0, v_p(m) - v_p(v)) in both; den x[k] divides
         # d m, so a step whose m d took in ahead finds t = m and grows nothing
-        m = rc * (k if by_index and k > 1 else 1)
+        m = c * (k if by_index and k > 1 else 1)
         t = gcd(m, *v) if m > 0 else -gcd(m, *v)
         grow, ahead = m // t, 1
         if grow > 1:  # d also takes in the m of the steps after k (AHEAD_ROOM)
             room = d.bit_length() // AHEAD_ROOM
             for i in range(k + 1, terms):
-                more = ahead * abs(rc) * (i if by_index and i > 1 else 1)
+                more = ahead * abs(c) * (i if by_index and i > 1 else 1)
                 if more.bit_length() > room:
                     break
                 ahead = more

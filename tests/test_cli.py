@@ -243,17 +243,25 @@ class TestSeriesVerbs:
         # that building 10**2000000000, a 300-million-entry window or a
         # power with 5-million-bit coefficients fails the test instead of
         # stalling the machine.
-        path = tmp_path / "f.json"
-        path.write_text(json.dumps({"level": 1, "lead": 0, "precision": len(coeffs),
-                                    "field": {"kind": "rational"}, "coeffs": coeffs}))
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gmfkit.__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-m", "gmfkit.cli", argv[0], "--f", str(path), *argv[1:]],
-            capture_output=True, env=env, timeout=60,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
-        )
+        proc = run_child(tmp_path, argv, {"kind": "rational"}, coeffs)
         assert proc.returncode == 2, proc.stderr.decode()
         assert json.loads(proc.stdout)["error_kind"] == kind
+
+    @pytest.mark.parametrize(
+        "lead, precision, coeffs, argv",
+        [
+            (10**6, 10**6, [], ["pow", "--m", "0"]),
+            (10**6, 10**6 + 1, ["1"], ["exp-logderiv", "--prec", str(10**7)]),
+        ],
+        ids=["pow-zero-of-zero", "exp-of-far-lead"],
+    )
+    def test_declared_precision_window_refused_promptly(self, tmp_path, lead, precision, coeffs, argv):
+        # a few bytes of JSON declaring precision 10^6: 1 + O(q^P) and exp g
+        # would fill their windows from q^0 up to it, so both are refused
+        # before anything is allocated
+        proc = run_child(tmp_path, argv, {"kind": "rational"}, coeffs, lead, precision)
+        assert proc.returncode == 2, proc.stderr.decode()
+        assert json.loads(proc.stdout)["error_kind"] == "insufficient-precision"
 
     def test_bare_json_integer_past_the_cap_refused_promptly(self, tmp_path):
         # 100,001 digits as a bare JSON integer: refused before any conversion
@@ -325,12 +333,14 @@ class TestSeriesVerbs:
         assert proc.returncode == 0, proc.stderr.decode()
 
 
-def run_child(tmp_path, argv, field=None, coeffs=("1",)):
+def run_child(tmp_path, argv, field=None, coeffs=("1",), lead=0, precision=None):
     """Run the CLI in a child under a 1 GiB address-space limit and a 60 s
-    timeout, on a level-1 series file with ``coeffs`` when ``field`` is given."""
+    timeout, on a level-1 series file with ``coeffs`` from ``lead`` on (to
+    ``precision``, else to the last of them) when ``field`` is given."""
     if field is not None:
         path = tmp_path / "f.json"
-        path.write_text(json.dumps({"level": 1, "lead": 0, "precision": len(coeffs),
+        precision = lead + len(coeffs) if precision is None else precision
+        path.write_text(json.dumps({"level": 1, "lead": lead, "precision": precision,
                                     "field": field, "coeffs": list(coeffs)}))
         argv = [argv[0], "--f", str(path), *argv[1:]]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gmfkit.__file__)))
@@ -580,7 +590,14 @@ class TestCertify:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
+        def cpus(n):
+            # the CPUs the process may use, by its affinity mask or, on a
+            # platform without one, by the CPU count
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: n)
+
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        cpus(8)
         results = invoke_json(
             capsys,
             "certify",
@@ -591,6 +608,16 @@ class TestCertify:
         )
         assert pool_sizes == [2]
         assert [r["input"] for r in results] == [f11_path, f11_path]
+        # and at the CPUs: 3 files on 2 CPUs take 2 workers, not 64
+        cpus(2)
+        results = invoke_json(capsys, "certify", "--f", f11_path, f11_path, f11_path,
+                              "--group", "gamma0:11", "--prec", "20", "--jobs", "64")
+        assert pool_sizes == [2, 2]
+        assert [r["input"] for r in results] == [f11_path] * 3
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        results = invoke_json(capsys, "certify", "--f", f11_path, f11_path, f11_path,
+                              "--group", "gamma0:11", "--prec", "20", "--jobs", "64")
+        assert pool_sizes == [2, 2, 2] and len(results) == 3
 
     def test_multiple_files_parallel(self, capsys, tmp_path, f11_path):
         results = invoke_json(

@@ -125,6 +125,31 @@ def test_divide(operands, target):
     assert outcome(QExpansion.divide, f, g, target) == outcome(ref.divide, f, g, target)
 
 
+@pytest.mark.parametrize("conductor", [None, 5], ids=["q", "zeta5"])
+@pytest.mark.parametrize("gd, s, tail, up, down", [
+    (6, 1, 1, 1, 1),  # den f = den g: t cancels both
+    (6, 3, 3, 3, 1),  # den f = 2 divides den g = 6
+    (2, 1, Fraction(1, 3), 1, 3),  # den g = 2 divides den f = 6
+    (7, 7, Fraction(7, 5), 7, 5),  # den f = 5 and den g = 7 coprime
+], ids=["equal", "up", "down", "coprime"])
+def test_divide_applies_the_denominators_outside(conductor, gd, s, tail, up, down):
+    # f = g (s + tail q^5) / g with t = gcd(den f, den g): the recurrence
+    # takes f's integers times up = den g / t and g's over 1, and its
+    # quotient goes over d down, down = den f / t; cut before q^5 the quotient
+    # is s, whose s down over down shares all of down with its numerator
+    field = FieldTag(conductor)
+    z = CyclotomicElement.zeta(conductor) if conductor else 1
+    # an irrational lead over Q(zeta_5), so the recurrence's unit is used
+    c = CyclotomicElement(5, [2, -1, 0, 1]) if conductor else 2
+    body = [z * Fraction(1, gd), 3, z**2 * Fraction(-5, gd), 0, 1, Fraction(2, gd), -z]
+    g = QExpansion(1, -1, [c] + body + [0] * 5, 12, field)
+    f = g * QExpansion(1, 0, [s, 0, 0, 0, 0, tail], 14, field)
+    t = gcd(f.den, g.den)
+    assert (g.den, g.den // t, f.den // t) == (gd, up, down)
+    for target in (None, 5):
+        assert outcome(QExpansion.divide, f, g, target) == outcome(ref.divide, f, g, target)
+
+
 @RUNS
 @given(series() | growing_series(), st.none() | st.integers(0, 30))
 def test_inverse(f, target):
@@ -281,20 +306,20 @@ def test_monomial_factor_is_one_pass(monkeypatch, conductor, terms, c):
 def test_recurrence_past_short_operands():
     # r and g are zero past their ends: 3 / (2 - q^3) = 3/2 + 3/4 q^3 + 3/8 q^6
     # to seven terms from a g of four coefficients and an r of one
-    assert _recurrence([1], 1, [2, 0, 0, -1], 3, 7, RATIONAL) == ([12, 0, 0, 6, 0, 0, 3], 8)
+    assert _recurrence([3], [2, 0, 0, -1], 7, RATIONAL) == ([12, 0, 0, 6, 0, 0, 3], 8)
 
 
-@pytest.mark.parametrize("r, rd, g, terms, expected", [
-    # (2 - q)(1 + q/2) / (2 - q): the quotient's denominator stops at 2
-    ([4, 0, -1], 2, [2, -1], 7, ([2, 1, 0, 0, 0, 0, 0], 2)),
+@pytest.mark.parametrize("r, g, terms, expected", [
+    # (2 - q)(2 + q) / (2 (2 - q)): the quotient's denominator stops at 2
+    ([4, 0, -1], [4, -2], 7, ([2, 1, 0, 0, 0, 0, 0], 2)),
     # 1 / (2 - q): one more 2 in the denominator at every step
-    ([1], 1, [2, -1], 7, ([2 ** (6 - k) for k in range(7)], 2**7)),
+    ([1], [2, -1], 7, ([2 ** (6 - k) for k in range(7)], 2**7)),
     # 3 / (6 - 3q) = 1 / (2 - q): each step's m = 6 is taken in ahead once d
     # has room for it, and the 3s that no step used are divided out at the end
-    ([3], 1, [6, -3], 40, ([2 ** (39 - k) for k in range(40)], 2**40)),
+    ([3], [6, -3], 40, ([2 ** (39 - k) for k in range(40)], 2**40)),
 ], ids=["stops-growing", "steady", "taken-ahead"])
-def test_recurrence_denominator_in_lowest_terms(r, rd, g, terms, expected):
-    assert _recurrence(r, rd, g, 1, terms, RATIONAL) == expected
+def test_recurrence_denominator_in_lowest_terms(r, g, terms, expected):
+    assert _recurrence(r, g, terms, RATIONAL) == expected
 
 
 def test_recurrence_takes_in_the_next_steps_denominators(monkeypatch):
@@ -302,7 +327,7 @@ def test_recurrence_takes_in_the_next_steps_denominators(monkeypatch):
     # in ahead, the next steps' m, is all used and the result needs no gcd
     monkeypatch.setattr(qseries, "_lowest", lambda nums, den: (nums, den))
     top = factorial(59)
-    assert _recurrence([1], 1, [1, -1], 1, 60, RATIONAL, True) == ([top // factorial(k) for k in range(60)], top)
+    assert _recurrence([1], [1, -1], 60, RATIONAL, True) == ([top // factorial(k) for k in range(60)], top)
 
 
 @settings(max_examples=60, deadline=None)

@@ -183,6 +183,15 @@ class TestExpFromLogderiv:
         with pytest.raises(NotExponentiableError):
             exp_from_logderiv(qs(-1, [1], 4), 4)
 
+    def test_window_cap(self):
+        # the result runs from q^0 to min(T, P_g) whatever g's lead, so a
+        # one-term g at q^(10^6) or a zero g known that far would fill 10^6
+        # terms: refused before anything is allocated
+        assert exp_from_logderiv(QExpansion.zero(1, MAX_TERMS), 10**6).precision == MAX_TERMS
+        for g in (QExpansion.monomial(1, 10**6, 10**6 + 1), QExpansion.zero(1, 10**6)):
+            with pytest.raises(PrecisionError, match="exceeds the cap"):
+                exp_from_logderiv(g, 10**7)
+
 
 class TestPow:
     def test_power_zero(self, qs):
@@ -193,6 +202,14 @@ class TestPow:
     def test_power_zero_of_zero_series(self, precision, expected):
         # 0 ** 0 = 1, known to the zero series' precision, and at least to q^1
         assert QExpansion.zero(1, precision) ** 0 == QExpansion.one(1, expected)
+
+    def test_power_zero_of_zero_series_cap(self):
+        # only the declared precision bounds 1 + O(q^P): past MAX_TERMS it is
+        # refused before anything is allocated
+        assert (QExpansion.zero(1, MAX_TERMS) ** 0).precision == MAX_TERMS
+        for precision in (MAX_TERMS + 1, 10**6):
+            with pytest.raises(PrecisionError, match="exceeds the cap"):
+                QExpansion.zero(1, precision) ** 0
 
     def test_binomial(self, qs):
         sq = qs(0, [1, -1], 6) ** 2
@@ -257,6 +274,21 @@ class TestLevelChanges:
         # to JSON as "level": true, which the reader refuses
         with pytest.raises(BadLevelError, match="level must be a positive integer"):
             QExpansion(bad, 0, [1, 2], 2)
+
+    @pytest.mark.parametrize("method, bad, error, message", [
+        ("rescale_level", 2.0, BadLevelError, "level must be a positive integer"),
+        ("rescale_level", "2", BadLevelError, "level must be a positive integer"),
+        ("rescale_level", True, BadLevelError, "level must be a positive integer"),
+        ("substitute_power", 2.0, ValueError, "substitution exponent must be positive"),
+        ("substitute_power", "2", ValueError, "substitution exponent must be positive"),
+        ("substitute_power", True, ValueError, "substitution exponent must be positive"),
+    ], ids=["level-float", "level-str", "level-bool", "power-float", "power-str", "power-bool"])
+    def test_spread_takes_a_positive_int(self, qs, method, bad, error, message):
+        # unchecked, 2.0 would reach the stride arithmetic and '2' a
+        # comparison, each as a TypeError, and True, an int subclass, would
+        # spread by 1
+        with pytest.raises(error, match=message):
+            getattr(qs(0, [1, 2], 3), method)(bad)
 
     def test_substitute_power(self, qs):
         s = qs(1, [1, 2, 3], 4).substitute_power(3)

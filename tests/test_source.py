@@ -173,14 +173,15 @@ def test_series_canonical_by_construction():
     # latter, no flag saying a form is reduced, and the running gcd only in
     # the kernels whose result can share a factor with its denominator (the
     # recurrence among them, whose denominator may take in more than its steps
-    # use) and in the JSON reader, which puts the coordinates over their lcm as
-    # written; theta f / f is theta N / N on the integers N = den f, over 1
+    # use, and divide, whose quotient over d down may share a factor with
+    # down) and in the JSON reader, which puts the coordinates over their lcm
+    # as written; theta f / f is theta N / N on the integers N = den f, over 1
     assert sorted(callers("_store")) == ["qseries.QExpansion.__init__",
                                          "qseries.QExpansion._from_integers"]
     assert callers("__new__") == ["qseries.QExpansion._from_integers"]
     assert sorted(callers("_lowest")) == ["jsonio.series_from_obj"] + [
         f"qseries.QExpansion.{name}"
-        for name in ("__add__", "__mul__", "truncate")] + ["qseries._recurrence"]
+        for name in ("__add__", "__mul__", "divide", "truncate")] + ["qseries._recurrence"]
     flagged = [
         f"{path.stem}:{node.lineno}"
         for path in SOURCES
@@ -233,17 +234,15 @@ def test_one_product_and_one_quotient():
     # every series product, a scaling included, is the one convolution in
     # __mul__, and the online recurrence runs for a quotient (divide, and
     # through it inverse and theta f / f), an exponential and Miller's power;
-    # every caller but divide hands it integer series over 1
+    # every caller hands it integer series over 1, divide applying the
+    # denominators outside it as __mul__ does, so it takes no denominator
     assert callers("_convolved") == ["qseries.QExpansion.__mul__"]
     assert sorted(callers("_recurrence")) == [
         "qseries.QExpansion._miller", "qseries.QExpansion.divide", "qseries.exp_from_logderiv"]
-    tree = ast.parse((Path(gmfkit.__file__).parent / "qseries.py").read_text(encoding="utf-8"))
-    over = {(function.name, ast.unparse(call.args[1]), ast.unparse(call.args[3]))
-            for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
-            for call in ast.walk(function)
-            if isinstance(call, ast.Call) and ast.unparse(call.func) == "_recurrence"}
-    assert over == {("_miller", "1", "1"), ("divide", "self.den", "other.den"),
-                    ("exp_from_logderiv", "1", "1")}
+    _, function = module_function("qseries", "_recurrence")
+    assert [a.arg for a in function.args.args] == ["r", "g", "terms", "field", "by_index", "power"]
+    assert not (function.args.posonlyargs or function.args.kwonlyargs
+                or function.args.vararg or function.args.kwarg)
 
 
 def test_recurrence_sums_in_one_loop():
