@@ -15,16 +15,18 @@ on g mod N), from a key function chosen once per table by the kind.
 Gamma(N) is normal of index N in P Gamma_1(N), the union of the cosets
 +-Gamma(N) T^t, t mod N: it names the coset of T^t r_i (r_i a Gamma_1(N)
 representative) i N + t and searches by these ids, with no key.  Either
-search builds a representative (an immutable ``IntegerMatrix`` with exact
-integer entries) only for a coset not seen before.  Groups of index above
-``MAX_INDEX`` are refused before any search.
+search builds a representative (an ``IntegerMatrix``: exact integer entries
+in private slots, read through read-only properties) only for a coset not
+seen before.  Groups of index above ``MAX_INDEX`` are refused before any
+search.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
+from operator import attrgetter, eq
 
 from .errors import BadGroupError, BadMatrixError, UnsupportedGroupError
 from .numberfield import prime_divisors
@@ -71,68 +73,60 @@ class GroupDescriptor:
 class IntegerMatrix:
     """2x2 integer matrix; group elements have determinant 1.
 
-    Immutable, equal and hashing as the tuple of its entries does (but never
-    equal to a tuple); ``__init__`` writes the entries through the slot
-    descriptors' setters, bound once below the class, past the
-    ``__setattr__`` that refuses every later write.
+    Immutable as ``fractions.Fraction`` is: ``__init__`` stores the entries
+    in the private slots ``_a`` .. ``_d`` and ``a`` .. ``d`` are read-only
+    properties over them (a property read costs two slot reads, so a loop
+    over cosets reads the slots).  Equal and hashing as the tuple of its
+    entries does, but never equal to a tuple.
     """
 
-    __slots__ = ("a", "b", "c", "d")
+    __slots__ = ("_a", "_b", "_c", "_d")
+    a, b, c, d = (property(attrgetter(slot)) for slot in __slots__)
 
     def __init__(self, a: int, b: int, c: int, d: int):
-        _SET_A(self, a)
-        _SET_B(self, b)
-        _SET_C(self, c)
-        _SET_D(self, d)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        self._a = a
+        self._b = b
+        self._c = c
+        self._d = d
 
     def __reduce__(self):  # pickle and copy rebuild through __init__, not the slots
-        return IntegerMatrix, (self.a, self.b, self.c, self.d)
+        return IntegerMatrix, (self._a, self._b, self._c, self._d)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+            return (self._a, self._b, self._c, self._d) == (other._a, other._b, other._c, other._d)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
+        return hash((self._a, self._b, self._c, self._d))
 
     def __repr__(self):
-        return f"IntegerMatrix(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
+        return f"IntegerMatrix(a={self._a!r}, b={self._b!r}, c={self._c!r}, d={self._d!r})"
 
     def det(self) -> int:
-        return self.a * self.d - self.b * self.c
+        return self._a * self._d - self._b * self._c
 
     def __mul__(self, other):
         if not isinstance(other, IntegerMatrix):
             return NotImplemented
         return IntegerMatrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
+            self._a * other._a + self._b * other._c,
+            self._a * other._b + self._b * other._d,
+            self._c * other._a + self._d * other._c,
+            self._c * other._b + self._d * other._d,
         )
 
     def __neg__(self):
-        return IntegerMatrix(-self.a, -self.b, -self.c, -self.d)
+        return IntegerMatrix(-self._a, -self._b, -self._c, -self._d)
 
     def inverse(self) -> "IntegerMatrix":
         if self.det() != 1:
             raise BadMatrixError("inverse requires determinant 1")
-        return IntegerMatrix(self.d, -self.b, -self.c, self.a)
+        return IntegerMatrix(self._d, -self._b, -self._c, self._a)
 
     def entries(self):
-        return ((self.a, self.b), (self.c, self.d))
+        return ((self._a, self._b), (self._c, self._d))
 
-
-_SET_A, _SET_B, _SET_C, _SET_D = (
-    slot.__set__ for slot in (IntegerMatrix.a, IntegerMatrix.b, IntegerMatrix.c, IntegerMatrix.d)
-)
 
 IDENTITY = IntegerMatrix(1, 0, 0, 1)
 GEN_S = IntegerMatrix(0, -1, 1, 0)
@@ -217,8 +211,11 @@ def _p1_point(c: int, n: int):
 
 
 class CosetTable:
-    """Right-coset data for P Gamma \\ PSL_2(Z), built by BFS over S, T;
-    s_image[i] and t_image[i] are the cosets of reps[i] * S and reps[i] * T."""
+    """Right-coset data for P Gamma \\ PSL_2(Z), built by BFS over S, T:
+    the representatives reps, one matrix per coset; s_image[i] and
+    t_image[i], the cosets of reps[i] * S and reps[i] * T; and the counts
+    nu2, nu3 and cusp_count read off them.  The keys or ids that name the
+    cosets during the search are dropped when it ends."""
 
     def __init__(self, group: GroupDescriptor):
         self.group = group
@@ -229,8 +226,8 @@ class CosetTable:
             s_image, t_image = self._search_by_keys(_coset_key(group))
         self.s_image, self.t_image = s_image, t_image
         # the elliptic points: the cosets fixed by S (order 2) and by S T (order 3)
-        self.nu2 = sum(i == j for i, j in enumerate(s_image))
-        self.nu3 = sum(t_image[j] == i for i, j in enumerate(s_image))
+        self.nu2 = sum(map(eq, s_image, range(len(s_image))))
+        self.nu3 = sum(map(eq, map(t_image.__getitem__, s_image), range(len(s_image))))
         self.cusp_count = start = 0  # the cycles of the right T-action on the cosets
         seen = bytearray(len(t_image))
         while (start := seen.find(0, start)) >= 0:  # the first coset not yet seen
@@ -241,11 +238,11 @@ class CosetTable:
 
     def _search_by_keys(self, key):
         reps, s_image, t_image = self.reps, [], []
-        self._coset_of = coset_of = {key(1, 0, 0, 1): 0}
+        coset_of = {key(1, 0, 0, 1): 0}
         # reps doubles as the BFS queue: the loop reaches each new coset
         # in the order it is appended
         for g in reps:
-            a, b, c, d = g.a, g.b, g.c, g.d
+            a, b, c, d = g._a, g._b, g._c, g._d
             new = len(reps)
             index = coset_of.setdefault(key(b, -a, d, -c), new)  # g * S
             if index == new:
@@ -267,10 +264,10 @@ class CosetTable:
         every = list(range(len(base_reps) * n))  # the ids: one int object each, shared below
         s_ids, t_ids = [], []  # s_ids[i N + t]: the id of the coset of T^t r_i S; t_ids for T
         for r, js, jt in zip(base_reps, base.s_image, base.t_image):
-            a, b = r.a, r.b
+            a, b = r._a, r._b
             for p, q, j, nids in ((b, -a, js, s_ids), (a, a + b, jt, t_ids)):  # top row of r S, r T
                 e = base_reps[j]  # h = (p q; ..) e^-1: sigma = h12 h11, h11 = +-1 mod N
-                sigma = (q * e.a - p * e.b) * (p * e.d - q * e.c) % n
+                sigma = (q * e._a - p * e._b) * (p * e._d - q * e._c) % n
                 jn = j * n  # t = 0 .. N-1 goes to j N + (t + sigma) % N
                 nids += every[jn + sigma : jn + n] + every[jn : jn + sigma]
         at = [0] + [-1] * (len(every) - 1)  # at[id]: the coset's place in reps, -1 unseen
@@ -279,12 +276,12 @@ class CosetTable:
             nid = s_ids[gid]
             if at[nid] < 0:  # g * S
                 at[nid] = len(reps)
-                reps.append(IntegerMatrix(g.b, -g.a, g.d, -g.c))
+                reps.append(IntegerMatrix(g._b, -g._a, g._d, -g._c))
                 ids.append(nid)
             nid = t_ids[gid]
             if at[nid] < 0:  # g * T
                 at[nid] = len(reps)
-                reps.append(IntegerMatrix(g.a, g.a + g.b, g.c, g.c + g.d))
+                reps.append(IntegerMatrix(g._a, g._a + g._b, g._c, g._c + g._d))
                 ids.append(nid)
         return [at[s_ids[gid]] for gid in ids], [at[t_ids[gid]] for gid in ids]
 

@@ -28,6 +28,26 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_unused_imports():
+    # every name a module imports is read in it; __init__.py's imports are
+    # the package's public re-exports, read by its users
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.stem}:{node.lineno}:{bound}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if (bound := alias.asname or alias.name.split(".")[0]) not in read
+        ]
+    assert unused == []
+
+
 # each module may import only modules before it in this order; numberfield
 # comes before linalg, so that its inverse cannot go back to a linear solve
 LAYERS = ["errors", "numberfield", "linalg", "qseries", "subgroup", "jsonio", "etaforms",

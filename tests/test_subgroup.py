@@ -204,6 +204,27 @@ class TestIntegerMatrix:
         with pytest.raises(AttributeError):
             twin.a = 0
 
+    @pytest.mark.parametrize("name", "abcd")
+    def test_entries_read_only(self, name):
+        m = IntegerMatrix(3, 2, 4, 3)
+        with pytest.raises(AttributeError):
+            setattr(m, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(m, name)
+        assert (m.a, m.b, m.c, m.d) == (3, 2, 4, 3)
+
+    def test_no_instance_dict(self):
+        assert not hasattr(IntegerMatrix(3, 2, 4, 3), "__dict__")
+
+    def test_every_matrix_built_through_init(self, monkeypatch):
+        built = TestCosetKeys.count_matrices(monkeypatch)
+        m = IntegerMatrix(3, 2, 4, 3)
+        made = [m * GEN_T, -m, m.inverse(), copy.copy(m), pickle.loads(pickle.dumps(m))]
+        assert built == [(3, 2, 4, 3)] + [(x.a, x.b, x.c, x.d) for x in made]
+        del built[:]
+        table = CosetTable(GroupDescriptor(GAMMA0, 12))
+        assert built == [(r.a, r.b, r.c, r.d) for r in table.reps[1:]]  # reps[0] is IDENTITY
+
 
 class TestCosetEnumeration:
     def test_sl2_trivial(self):
@@ -347,6 +368,17 @@ class TestGenus:
                 elliptic_gamma0_formula(n, 2), elliptic_gamma0_formula(n, 3)
             ), n
 
+    @pytest.mark.parametrize("kind, top, first", [
+        # Diamond-Shurman 3.9: Gamma_1(N) has (1, 1) elliptic points at N = 1,
+        # (1, 0) at 2, (0, 1) at 3 and none from 4; Gamma(N) none from 2
+        (GAMMA1, 60, [(1, 1), (1, 0), (0, 1)]),
+        (GAMMA, 24, [(1, 1)]),
+    ])
+    def test_elliptic_points_of_gamma1_and_gamma(self, kind, top, first):
+        counts = [(table.nu2, table.nu3) for table in
+                  (coset_table(GroupDescriptor(kind, n)) for n in range(1, top + 1))]
+        assert counts == first + [(0, 0)] * (top - len(first))
+
     @pytest.mark.parametrize("n", range(3, 13))
     def test_gamma_closed_formula(self, n):
         # Gamma(N), N >= 3, has no elliptic points and index / N cusps
@@ -423,21 +455,25 @@ class TestCosetKeys:
             h = w * word_product([GEN_T] * group.level) * w.inverse() * g
         else:
             h = word_product(h_word)
-        table, key = coset_table(group), subgroup._coset_key(group)
-        same = (table._coset_of[key(g.a, g.b, g.c, g.d)]
-                == table._coset_of[key(h.a, h.b, h.c, h.d)])
+        key = subgroup._coset_key(group)
+        g_key, h_key = key(g.a, g.b, g.c, g.d), key(h.a, h.b, h.c, h.d)
+        # the table's representatives reach the coset of every drawn matrix
+        assert {g_key, h_key} <= {key(r.a, r.b, r.c, r.d) for r in coset_table(group).reps}
+        same = g_key == h_key
         assert same == is_member(g * h.inverse(), group, projective=True)
         assert same or not conjugate
 
     @pytest.mark.parametrize("group", WORD_GROUPS)
     def test_table_holds_one_key_per_coset(self, group):
         table = CosetTable(group)
+        assert not hasattr(table, "_coset_of")  # the search's dict ends with the search
         if group.kind != GAMMA:
-            assert len(table._coset_of) == len(table.reps) == p_index(group)
+            key = subgroup._coset_key(group)
+            keys = {key(r.a, r.b, r.c, r.d) for r in table.reps}
+            assert len(keys) == len(table.reps) == p_index(group)
         else:
-            # no key and no dict: a coset's id is its Gamma_1(N) coset and an offset mod N
+            # no key: a coset's id is its Gamma_1(N) coset and an offset mod N
             base = coset_table(GroupDescriptor(GAMMA1, group.level))
-            assert not hasattr(table, "_coset_of")
             assert len(table.reps) == len(base) * group.level == p_index(group)
 
     @pytest.mark.parametrize("group", WORD_GROUPS)
