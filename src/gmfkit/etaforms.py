@@ -13,13 +13,16 @@ one-dimensional space of weight-2 cusp forms is spanned by a known eta
 quotient, and every group whose coset table gives genus 0, so the space 0;
 none has level above 25, where no table is built.  Anything else comes in
 through basis data files.
+
+An ``EtaQuotient`` and a ``CuspFormBasis`` are immutable values
+(``numberfield._Value``); a quotient's constructor merges and sorts its
+terms and derives its ambient level, and those two fields decide equality.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from operator import mul
 
 from . import jsonio
@@ -30,7 +33,7 @@ from .errors import (
     PrecisionError,
 )
 from .linalg import rank
-from .numberfield import RATIONAL, _product
+from .numberfield import RATIONAL, _product, _Value
 from .qseries import MAX_TERMS, QExpansion
 from .subgroup import GAMMA0, GroupDescriptor, invariants
 
@@ -72,25 +75,25 @@ def eta_expansion(precision: int) -> QExpansion:
     return eta_quotient_expansion(EtaQuotient(((1, 1),), 1), precision)
 
 
-@dataclass(frozen=True)
-class EtaQuotient:
+class EtaQuotient(_Value):
     """prod_d eta(d z)^(r_d) with every divisor d dividing the ambient level.
 
     Construction consolidates repeated divisors and drops zero exponents;
-    the empty quotient is the constant 1.
+    the empty quotient is the constant 1.  Fields: ``terms``, the tuple of
+    (d, r_d) int pairs so merged, in increasing d, and ``ambient_level``, the
+    int N, by default the lcm of the d; both decide equality.
     """
 
-    terms: tuple
-    ambient_level: int | None = None
+    __slots__ = ("terms", "ambient_level")
 
-    def __post_init__(self):
+    def __init__(self, terms: tuple, ambient_level: int | None = None):
         merged: dict[int, int] = {}
-        for d, r in self.terms:
+        for d, r in terms:
             if d < 1:
                 raise MalformedInputError(f"divisor must be positive, got {d}")
             merged[d] = merged.get(d, 0) + r
         terms = tuple(sorted((d, r) for d, r in merged.items() if r))
-        ambient = self.ambient_level
+        ambient = ambient_level
         if ambient is None:
             ambient = math.lcm(*(d for d, _ in terms)) if terms else 1
         if not isinstance(ambient, int) or ambient < 1:
@@ -105,8 +108,15 @@ class EtaQuotient:
             raise MalformedInputError(
                 f"exponent sum {weight} exceeds the cap {MAX_ETA_EXPONENT_SUM}"
             )
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "ambient_level", ambient)
+        super().__init__(terms, ambient)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.terms, self.ambient_level) == (other.terms, other.ambient_level)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.terms, self.ambient_level))
 
     @classmethod
     def parse(cls, text: str, ambient_level: int | None = None) -> "EtaQuotient":
@@ -180,12 +190,22 @@ _GENUS_ONE_ETA = {
 }
 
 
-@dataclass(frozen=True)
-class CuspFormBasis:
-    """Rational-coefficient basis of the weight-2 cusp forms of a group."""
+class CuspFormBasis(_Value):
+    """Rational-coefficient basis of the weight-2 cusp forms of a group:
+    ``group``, a GroupDescriptor, and ``forms``, a tuple of QExpansion."""
 
-    group: GroupDescriptor
-    forms: tuple
+    __slots__ = ("group", "forms")
+
+    def __init__(self, group: GroupDescriptor, forms: tuple):
+        super().__init__(group, forms)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.group, self.forms) == (other.group, other.forms)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.group, self.forms))
 
     @property
     def dimension(self) -> int:

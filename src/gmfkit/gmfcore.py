@@ -18,14 +18,13 @@ any precision f supports.  A failing fit raises its witness, the first
 row that does not fit, in a PrefixInconsistentError: it certifies that
 the supplied prefix is not the leading part of any decomposition.
 
-Results are plain values; their JSON shapes belong to ``cli``.
+Results are immutable values (``numberfield._Value``: slotted fields,
+equal as the tuple of them); their JSON shapes belong to ``cli``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from operator import mul
 
@@ -43,17 +42,27 @@ from .errors import (
 from .etaforms import CuspFormBasis
 from .jsonio import check_entry
 from .linalg import solve_full_column_rank
-from .numberfield import _product, is_rational, prime_divisors
+from .numberfield import _product, _Value, is_rational, prime_divisors
 from .qseries import QExpansion, exp_from_logderiv, first_disagreement
-from .subgroup import GroupDescriptor, kappa
+from .subgroup import kappa
 
 
-@dataclass(frozen=True)
-class PGMF:
-    """A q-expansion attached to a congruence subgroup."""
+class PGMF(_Value):
+    """A q-expansion attached to a congruence subgroup: ``expansion``, a
+    QExpansion, and ``group``, a GroupDescriptor."""
 
-    expansion: QExpansion
-    group: GroupDescriptor
+    __slots__ = ("expansion", "group")
+
+    def __init__(self, expansion, group):
+        super().__init__(expansion, group)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.expansion, self.group) == (other.expansion, other.group)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.expansion, self.group))
 
     @property
     def normalized(self) -> bool:
@@ -62,27 +71,46 @@ class PGMF:
         return (not e.is_zero) and e.coeff(e.lead) == e.field.one
 
 
-@dataclass(frozen=True)
-class InconsistencyWitness:
+class InconsistencyWitness(_Value):
     """First coefficient row at which a prefix fails to fit.
 
-    ``row`` is the exponent n of the failing b0(n); ``residual`` is the
-    mismatch b0(n) - (fitted combination)(n) when that value is rational.
+    ``row`` is the int exponent n of the failing b0(n); ``residual`` is the
+    mismatch b0(n) - (fitted combination)(n), a Fraction, when that value
+    is rational, else None; ``reason`` is a str.
     """
 
-    row: int
-    residual: Fraction | None
-    reason: str
+    __slots__ = ("row", "residual", "reason")
+
+    def __init__(self, row, residual, reason):
+        super().__init__(row, residual, reason)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.row, self.residual, self.reason) == (other.row, other.residual, other.reason)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.row, self.residual, self.reason))
 
 
-@dataclass(frozen=True)
-class CanonicalDecomposition:
-    """The triple certifying f = f1 * f0 to working precision."""
+class CanonicalDecomposition(_Value):
+    """The triple certifying f = f1 * f0 to working precision: ``f1`` and
+    ``f0``, each a PGMF, ``g0``, a QExpansion, and ``basis_coords``, the
+    tuple of g0's coordinates in the cusp form basis."""
 
-    f1: PGMF
-    f0: PGMF
-    g0: QExpansion
-    basis_coords: tuple
+    __slots__ = ("f1", "f0", "g0", "basis_coords")
+
+    def __init__(self, f1, f0, g0, basis_coords):
+        super().__init__(f1, f0, g0, basis_coords)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.f1, self.f0, self.g0, self.basis_coords)
+                    == (other.f1, other.f0, other.g0, other.basis_coords))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.f1, self.f0, self.g0, self.basis_coords))
 
 
 class CertificateVerdict(enum.Enum):
@@ -91,11 +119,24 @@ class CertificateVerdict(enum.Enum):
     PREFIX_INCONSISTENT = "prefix-inconsistent"
 
 
-@dataclass(frozen=True)
-class Certificate:
-    verdict: CertificateVerdict
-    decomposition: CanonicalDecomposition | None
-    witness: InconsistencyWitness | None
+class Certificate(_Value):
+    """``verdict``, a CertificateVerdict, with ``decomposition``, a
+    CanonicalDecomposition, or ``witness``, an InconsistencyWitness; the
+    other one is None."""
+
+    __slots__ = ("verdict", "decomposition", "witness")
+
+    def __init__(self, verdict, decomposition, witness):
+        super().__init__(verdict, decomposition, witness)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.verdict, self.decomposition, self.witness)
+                    == (other.verdict, other.decomposition, other.witness))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.verdict, self.decomposition, self.witness))
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,14 @@ in ``qseries`` run one integer code path over Q and over Q(zeta_m) alike.
 over one common denominator, their lcm, through ``_over_lcm``, which takes
 (numerator, denominator) pairs, so that the JSON reader puts the
 coordinates it reads from text over the same lcm.
+
+``FieldTag`` and the package's other immutable values (groups, their
+invariants, eta quotients, bases, decompositions and certificates) derive
+from ``_Value``: plain classes whose fields are slots, so a field read is a
+slot read, equal and hashing as the tuple of their fields, read-only, and
+pickled and copied through their constructors, which check their fields
+again.  They import no ``dataclasses``, which would load ``inspect`` and
+``ast`` and exec a generated method per class at every start-up.
 """
 
 from __future__ import annotations
@@ -35,7 +43,6 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -451,27 +458,68 @@ def is_rational(a):
     return True, a.coords[0]
 
 
-@dataclass(frozen=True)
-class FieldTag:
+class _Value:
+    """The base of the package's immutable value classes.
+
+    A subclass lists its fields in ``__slots__``, in its ``__init__``'s
+    order, hands them to ``_Value.__init__`` once checked, and writes its
+    own ``__eq__`` and ``__hash__`` over the tuple of them (the same class
+    only, so never equal to a tuple).  Assigning or deleting an attribute
+    raises AttributeError, and pickle and copy rebuild through ``__init__``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {self.__class__.__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {self.__class__.__name__}.{name}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+
+class FieldTag(_Value):
     """Coefficient-domain marker: Q when conductor is None, else Q(zeta_m).
 
     Every series carries exactly one tag; mixing fields requires an
     explicit promotion Q -> Q(zeta_m).  Q is the degree-1 field: its
     modulus is Phi_1 = x - 1, so the coordinate helpers below serve both.
+
+    Fields: ``conductor``, an int m, or None for Q; derived from it, and
+    out of equality, hash and repr, ``degree``, the int phi(m) (1 for Q),
+    and ``modulus``, the tuple of Phi_m's coefficients, low degree first.
     """
 
-    conductor: int | None = None
-    degree: int = field(init=False, repr=False, compare=False)
-    modulus: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("conductor", "degree", "modulus")
 
-    def __post_init__(self):
-        m = self.conductor
+    def __init__(self, conductor: int | None = None):
+        m = conductor
         if m is not None and (type(m) is not int or m < 1):  # nor a bool
             raise ValueError("conductor must be a positive integer")
         if m is not None and m > MAX_CONDUCTOR:
             raise MalformedInputError(f"conductor {m} exceeds the cap of {MAX_CONDUCTOR}")
-        object.__setattr__(self, "degree", euler_phi(m or 1))
-        object.__setattr__(self, "modulus", cyclotomic_polynomial(m or 1))
+        super().__init__(m, euler_phi(m or 1), cyclotomic_polynomial(m or 1))
+
+    def __reduce__(self):
+        return FieldTag, (self.conductor,)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.conductor == other.conductor
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.conductor,))
 
     @classmethod
     def cyclotomic(cls, m: int) -> "FieldTag":

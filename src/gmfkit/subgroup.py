@@ -19,17 +19,22 @@ search builds a representative (an ``IntegerMatrix``: exact integer entries
 in private slots, read through read-only properties) only for a coset not
 seen before.  Groups of index above ``MAX_INDEX`` are refused before any
 search.
+
+A ``GroupDescriptor`` (kind and level, checked when built) and the
+``SubgroupInvariants`` of a group are immutable values
+(``numberfield._Value``): equal and hashing as the tuple of their fields,
+which are slots; a descriptor keys the coset-table cache, and one sent to
+a worker process is rebuilt, and checked, through its constructor.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from operator import attrgetter, eq
 
 from .errors import BadGroupError, BadMatrixError, UnsupportedGroupError
-from .numberfield import prime_divisors
+from .numberfield import _Value, prime_divisors
 
 GAMMA0 = "gamma0"
 GAMMA1 = "gamma1"
@@ -38,18 +43,26 @@ GAMMA = "gamma"
 _KINDS = (GAMMA0, GAMMA1, GAMMA)
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
-    """Identity of a congruence subgroup: kind plus level N."""
+class GroupDescriptor(_Value):
+    """Identity of a congruence subgroup: ``kind``, the str ``gamma0``,
+    ``gamma1`` or ``gamma``, plus ``level``, the int N."""
 
-    kind: str
-    level: int
+    __slots__ = ("kind", "level")
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise BadGroupError(f"unknown group kind {self.kind!r}")
-        if type(self.level) is not int or self.level < 1:  # nor a bool
-            raise BadGroupError(f"level must be a positive integer, got {self.level!r}")
+    def __init__(self, kind: str, level: int):
+        if kind not in _KINDS:
+            raise BadGroupError(f"unknown group kind {kind!r}")
+        if type(level) is not int or level < 1:  # nor a bool
+            raise BadGroupError(f"level must be a positive integer, got {level!r}")
+        super().__init__(kind, level)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.level) == (other.kind, other.level)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.level))
 
     @classmethod
     def parse(cls, text: str) -> "GroupDescriptor":
@@ -329,13 +342,26 @@ def kappa(group: GroupDescriptor) -> int:
     return invariants(group).kappa
 
 
-@dataclass(frozen=True)
-class SubgroupInvariants:
-    p_index: int
-    cusp_count: int
-    kappa: int
-    contains_minus_identity: bool
-    genus: int  # = dim S_2, the number of forms in a weight-2 cusp form basis
+class SubgroupInvariants(_Value):
+    """A group's invariants: the ints ``p_index``, ``cusp_count`` and
+    ``kappa``, the bool ``contains_minus_identity``, and the int ``genus``,
+    which is dim S_2, the number of forms in a weight-2 cusp form basis."""
+
+    __slots__ = ("p_index", "cusp_count", "kappa", "contains_minus_identity", "genus")
+
+    def __init__(self, p_index, cusp_count, kappa, contains_minus_identity, genus):
+        super().__init__(p_index, cusp_count, kappa, contains_minus_identity, genus)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p_index, self.cusp_count, self.kappa, self.contains_minus_identity,
+                    self.genus) == (other.p_index, other.cusp_count, other.kappa,
+                                    other.contains_minus_identity, other.genus)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p_index, self.cusp_count, self.kappa, self.contains_minus_identity,
+                     self.genus))
 
 
 def invariants(group: GroupDescriptor) -> SubgroupInvariants:

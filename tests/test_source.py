@@ -48,6 +48,19 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def test_no_dataclasses_import():
+    # importing dataclasses loads inspect, ast, dis and tokenize, and each
+    # decorated class execs generated code: a third of the package's import
+    found = [
+        f"{path.stem}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses"
+    ]
+    assert found == []
+
+
 # each module may import only modules before it in this order; numberfield
 # comes before linalg, so that its inverse cannot go back to a linear solve
 LAYERS = ["errors", "numberfield", "linalg", "qseries", "subgroup", "jsonio", "etaforms",
